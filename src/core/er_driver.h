@@ -70,33 +70,11 @@ class TaskStateRegistry {
   // snapshots a copy of the task's State at each alpha-emission boundary
   // and a re-attempt restores the latest snapshot (or a fresh State when
   // none exists) rather than replaying from scratch. `store` must outlive
-  // the job's Run. State must be copyable.
-  //
-  // With `encode`/`decode` supplied, they are installed on the store as its
-  // type-erased driver-state codec, which persisted snapshots need
-  // (CheckpointStore::ConfigurePersistence): a restarted process rebuilds
-  // the State from the serialized blob instead of the dead process's
-  // pointer. `decode` returning false marks the snapshot corrupt.
+  // the job's Run. State must be copyable. In-memory only: the store gets
+  // no codec, so this suits states that are not persisted.
   template <typename Job>
-  void InstallCheckpointRecovery(
-      Job* job, double alpha, CheckpointStore* store,
-      std::function<std::string(const State&)> encode = nullptr,
-      std::function<bool(std::string_view, State*)> decode = nullptr) {
-    if (encode != nullptr && decode != nullptr) {
-      store->SetStateCodec(
-          [encode = std::move(encode)](
-              const std::shared_ptr<const void>& state) -> std::string {
-            return state == nullptr
-                       ? std::string()
-                       : encode(*static_cast<const State*>(state.get()));
-          },
-          [decode = std::move(decode)](
-              std::string_view blob) -> std::shared_ptr<const void> {
-            auto state = std::make_shared<State>();
-            if (!decode(blob, state.get())) return nullptr;
-            return state;
-          });
-    }
+  void InstallCheckpointRecovery(Job* job, double alpha,
+                                 CheckpointStore* store) {
     job->set_checkpointing(
         alpha, store,
         [this](int task_id) -> std::shared_ptr<const void> {
@@ -113,7 +91,87 @@ class TaskStateRegistry {
         });
   }
 
+  // Checkpointed recovery for a State that only grows between boundaries,
+  // at O(1) per snapshot (DESIGN.md §14): a snapshot is the state's
+  // watermarks, and a restore truncates the live state back to them —
+  // valid because every retained snapshot lies on the live state's own
+  // lineage (a task's attempts run one after another, each resuming from
+  // the latest snapshot, and a deadline cut only ever rewinds). State must
+  // provide
+  //
+  //   typename State::Watermark;                  // copyable, O(1) size
+  //   Watermark Mark() const;                     // the current extent
+  //   void TruncateTo(const Watermark& mark);     // drop all growth past it
+  //   void ForgetBefore(const Watermark& mark);   // no restore goes below it
+  //
+  // ForgetBefore lets the state drop the undo data (e.g. insertion logs)
+  // it keeps for growth before `mark`: without boundary history
+  // (CheckpointStore::keep_history), each save forgets everything before
+  // the snapshot it replaces, which its journal delta starts from.
+  //
+  // and the codec persisted journals need: `encode_delta(state, from, to)`
+  // serializes the growth between two marks of `state` (`from` null: since
+  // the empty state), `apply_delta(blob, state)` replays one such blob onto
+  // a state, returning false to reject it. A journal replayed by a resumed
+  // process becomes a snapshot carrying the rebuilt State, which its first
+  // restore copies in.
+  template <typename Job, typename EncodeDelta, typename ApplyDelta>
+  void InstallWatermarkRecovery(Job* job, double alpha, CheckpointStore* store,
+                                EncodeDelta encode_delta,
+                                ApplyDelta apply_delta) {
+    store->SetStateCodec(
+        [this, encode_delta = std::move(encode_delta)](
+            int task_id, const void* from, const void* to) {
+          const auto* base = static_cast<const Snapshot*>(from);
+          return encode_delta(states_[static_cast<size_t>(task_id)],
+                              base != nullptr ? &base->mark : nullptr,
+                              static_cast<const Snapshot*>(to)->mark);
+        },
+        [apply_delta = std::move(apply_delta)](
+            const std::vector<std::string_view>& deltas)
+            -> std::shared_ptr<const void> {
+          auto state = std::make_shared<State>();
+          for (const std::string_view delta : deltas) {
+            if (!apply_delta(delta, state.get())) return nullptr;
+          }
+          return std::make_shared<const Snapshot>(
+              Snapshot{state->Mark(), std::move(state)});
+        });
+    job->set_checkpointing(
+        alpha, store,
+        [this, store](int task_id) -> std::shared_ptr<const void> {
+          State& state = states_[static_cast<size_t>(task_id)];
+          const TaskCheckpoint* latest = store->Latest(task_id);
+          if (!store->keep_history() && latest != nullptr &&
+              latest->driver_state != nullptr) {
+            state.ForgetBefore(
+                static_cast<const Snapshot*>(latest->driver_state.get())
+                    ->mark);
+          }
+          return std::make_shared<const Snapshot>(
+              Snapshot{state.Mark(), nullptr});
+        },
+        [this](int task_id, const void* snapshot) {
+          State& state = states_[static_cast<size_t>(task_id)];
+          const auto* snap = static_cast<const Snapshot*>(snapshot);
+          if (snap == nullptr) {
+            state = State();
+          } else if (snap->replayed != nullptr) {
+            state = *snap->replayed;
+          } else {
+            state.TruncateTo(snap->mark);
+          }
+        });
+  }
+
  private:
+  // What InstallWatermarkRecovery's store holds per boundary.
+  struct Snapshot {
+    typename State::Watermark mark;
+    // Set only on a snapshot rebuilt from a persisted journal.
+    std::shared_ptr<const State> replayed;
+  };
+
   std::vector<State> states_;
 };
 

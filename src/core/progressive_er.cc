@@ -47,15 +47,100 @@ int64_t WireSize(int64_t sq, const ResolveValue& value) {
 
 // Mutable per-reduce-task state beyond the shared accumulator: the
 // incremental bottom-up resolution's resolved-pair memory and the per-tree
-// emission buffers.
+// emission buffers. Between reduce groups it only grows — events and log
+// entries are appended, counters advance, each tree is buffered once — so a
+// checkpoint is a Watermark and a restore truncates back to one
+// (TaskStateRegistry::InstallWatermarkRecovery).
 struct ResolveTaskState : ErTaskState {
   // Already-resolved pairs per tree (keyed by the tree's dominance value):
   // the incremental bottom-up resolution must not repeat child work.
   std::unordered_map<int32_t, std::unordered_set<PairKey>> resolved;
-  // Per-tree emission: buffered tree members keyed by tree dominance value,
-  // and the index of the next unresolved block in the task's schedule.
+  // Insertion log of `resolved`: every newly resolved pair in order, and
+  // one (tree, end of its entries in the log) run per Resolve call that
+  // added any — a call inserts into its own tree's set only. Positions are
+  // absolute; the first `log_base` entries were forgotten (ForgetBefore).
+  std::vector<PairKey> resolved_log;
+  size_t log_base = 0;
+  std::vector<std::pair<int32_t, size_t>> resolved_runs;
+  // Per-tree emission: buffered tree members keyed by tree dominance value
+  // (with the keys in buffering order), and the index of the next
+  // unresolved block in the task's schedule.
   std::unordered_map<int32_t, std::vector<ResolveValue>> tree_values;
+  std::vector<int32_t> tree_order;
   size_t next_block = 0;
+
+  struct Watermark {
+    size_t events = 0;
+    int64_t duplicates = 0;
+    int64_t distinct = 0;
+    int64_t skipped = 0;
+    size_t runs = 0;
+    size_t trees = 0;
+    size_t next_block = 0;
+  };
+
+  Watermark Mark() const {
+    Watermark mark;
+    mark.events = raw_events.size();
+    mark.duplicates = duplicates;
+    mark.distinct = distinct;
+    mark.skipped = skipped;
+    mark.runs = resolved_runs.size();
+    mark.trees = tree_order.size();
+    mark.next_block = next_block;
+    return mark;
+  }
+
+  size_t LogEnd() const { return log_base + resolved_log.size(); }
+  size_t RunBegin(size_t run) const {
+    return run == 0 ? 0 : resolved_runs[run - 1].second;
+  }
+  PairKey Logged(size_t position) const {
+    return resolved_log[position - log_base];
+  }
+
+  // Closes the log run of one Resolve call on `tree` that began at `start`.
+  void CloseRun(int32_t tree, size_t start) {
+    if (LogEnd() > start) resolved_runs.emplace_back(tree, LogEnd());
+  }
+
+  void TruncateTo(const Watermark& mark) {
+    raw_events.resize(mark.events);
+    duplicates = mark.duplicates;
+    distinct = mark.distinct;
+    skipped = mark.skipped;
+    while (resolved_runs.size() > mark.runs) {
+      const auto [tree, end] = resolved_runs.back();
+      const size_t begin = RunBegin(resolved_runs.size() - 1);
+      resolved_runs.pop_back();
+      std::unordered_set<PairKey>& pairs = resolved[tree];
+      for (size_t i = begin; i < end; ++i) pairs.erase(Logged(i));
+      resolved_log.resize(begin - log_base);
+    }
+    while (tree_order.size() > mark.trees) {
+      tree_values.erase(tree_order.back());
+      tree_order.pop_back();
+    }
+    next_block = mark.next_block;
+  }
+
+  // No restore will go below `mark` any more: drops the log entries before
+  // it (their pairs stay resolved), so the log spans about one alpha
+  // window instead of the whole task.
+  void ForgetBefore(const Watermark& mark) {
+    const size_t cut = RunBegin(mark.runs);
+    if (cut <= log_base) return;
+    resolved_log.erase(resolved_log.begin(),
+                       resolved_log.begin() +
+                           static_cast<std::ptrdiff_t>(cut - log_base));
+    log_base = cut;
+  }
+
+  // Buffers a tree group's members; each tree arrives once per task.
+  void BufferTree(int32_t tree, std::vector<ResolveValue> values) {
+    tree_values[tree] = std::move(values);
+    tree_order.push_back(tree);
+  }
 };
 
 }  // namespace
@@ -94,63 +179,62 @@ struct KvCodec<ResolveValue> {
 
 namespace {
 
-// Canonical wire form of a ResolveTaskState snapshot, used by persisted
-// checkpoints (CheckpointStore::ConfigurePersistence). Deterministic field
-// order — unordered maps are serialized sorted by key, resolved-pair sets
-// sorted by value — so equal states encode byte-identically, and a decode
-// on the restarted process rebuilds exactly the state the dead process
-// snapshotted. Doubles travel as raw IEEE bits (varint-packed) for an
-// exact round trip.
-std::string EncodeResolveTaskState(const ResolveTaskState& state) {
+// Journal delta of a ResolveTaskState between two watermarks (`from` null:
+// since the empty state), read off a state that sits at `to` — the driver
+// half of one persisted checkpoint frame (CheckpointStore). Logs are
+// written in insertion order, which is deterministic, so equal histories
+// encode byte-identically and nothing needs sorting; the tallies and the
+// block cursor travel as absolute values. Doubles travel as raw IEEE bits
+// (varint-packed) for an exact round trip.
+std::string EncodeResolveTaskDelta(const ResolveTaskState& state,
+                                   const ResolveTaskState::Watermark* from,
+                                   const ResolveTaskState::Watermark& to) {
+  const ResolveTaskState::Watermark base =
+      from != nullptr ? *from : ResolveTaskState::Watermark();
   std::string out;
-  PutVarint64(state.raw_events.size(), &out);
-  for (const auto& [cost, pair] : state.raw_events) {
+  PutVarint64(to.events - base.events, &out);
+  for (size_t i = base.events; i < to.events; ++i) {
+    const auto& [cost, pair] = state.raw_events[i];
     uint64_t bits = 0;
     std::memcpy(&bits, &cost, sizeof(bits));
     PutVarint64(bits, &out);
     PutVarint64(pair, &out);
   }
-  PutVarint64(static_cast<uint64_t>(state.duplicates), &out);
-  PutVarint64(static_cast<uint64_t>(state.distinct), &out);
-  PutVarint64(static_cast<uint64_t>(state.skipped), &out);
+  PutVarint64(static_cast<uint64_t>(to.duplicates), &out);
+  PutVarint64(static_cast<uint64_t>(to.distinct), &out);
+  PutVarint64(static_cast<uint64_t>(to.skipped), &out);
 
-  std::vector<int32_t> keys;
-  keys.reserve(state.resolved.size());
-  for (const auto& [key, pairs] : state.resolved) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  PutVarint64(keys.size(), &out);
-  for (const int32_t key : keys) {
-    PutVarint64(ZigZagEncode(key), &out);
-    const auto& set = state.resolved.at(key);
-    std::vector<PairKey> pairs(set.begin(), set.end());
-    std::sort(pairs.begin(), pairs.end());
-    PutVarint64(pairs.size(), &out);
-    for (const PairKey pair : pairs) PutVarint64(pair, &out);
+  PutVarint64(to.runs - base.runs, &out);
+  for (size_t r = base.runs; r < to.runs; ++r) {
+    const auto [tree, end] = state.resolved_runs[r];
+    const size_t begin = state.RunBegin(r);
+    PutVarint64(ZigZagEncode(tree), &out);
+    PutVarint64(end - begin, &out);
+    for (size_t i = begin; i < end; ++i) PutVarint64(state.Logged(i), &out);
   }
 
-  keys.clear();
-  for (const auto& [key, values] : state.tree_values) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  PutVarint64(keys.size(), &out);
-  for (const int32_t key : keys) {
-    PutVarint64(ZigZagEncode(key), &out);
-    const auto& values = state.tree_values.at(key);
+  PutVarint64(to.trees - base.trees, &out);
+  for (size_t k = base.trees; k < to.trees; ++k) {
+    const int32_t tree = state.tree_order[k];
+    const std::vector<ResolveValue>& values = state.tree_values.at(tree);
+    PutVarint64(ZigZagEncode(tree), &out);
     PutVarint64(values.size(), &out);
     for (const ResolveValue& value : values) {
       KvCodec<ResolveValue>::Encode(value, &out);
     }
   }
-  PutVarint64(state.next_block, &out);
+  PutVarint64(to.next_block, &out);
   return out;
 }
 
-bool DecodeResolveTaskState(std::string_view in, ResolveTaskState* state) {
+// Replays one EncodeResolveTaskDelta blob onto `state`; false on a
+// malformed blob.
+bool ApplyResolveTaskDelta(std::string_view in, ResolveTaskState* state) {
   size_t offset = 0;
   const auto remaining = [&] { return in.size() - offset; };
   uint64_t count = 0;
   if (!GetVarint64(in, &offset, &count) || count > remaining()) return false;
-  state->raw_events.clear();
-  state->raw_events.reserve(count);
+  state->raw_events.reserve(state->raw_events.size() + count);
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t bits = 0;
     uint64_t pair = 0;
@@ -175,41 +259,42 @@ bool DecodeResolveTaskState(std::string_view in, ResolveTaskState* state) {
   state->skipped = static_cast<int64_t>(skipped);
 
   if (!GetVarint64(in, &offset, &count) || count > remaining()) return false;
-  state->resolved.clear();
-  for (uint64_t i = 0; i < count; ++i) {
+  for (uint64_t r = 0; r < count; ++r) {
     uint64_t raw = 0;
     uint64_t pairs = 0;
     if (!GetVarint64(in, &offset, &raw) ||
         !GetVarint64(in, &offset, &pairs) || pairs > remaining()) {
       return false;
     }
-    auto& set =
-        state->resolved[static_cast<int32_t>(ZigZagDecode(raw))];
-    set.reserve(pairs);
+    const int32_t tree = static_cast<int32_t>(ZigZagDecode(raw));
+    std::unordered_set<PairKey>& set = state->resolved[tree];
+    const size_t start = state->LogEnd();
     for (uint64_t p = 0; p < pairs; ++p) {
       uint64_t pair = 0;
       if (!GetVarint64(in, &offset, &pair)) return false;
       set.insert(pair);
+      state->resolved_log.push_back(pair);
     }
+    state->CloseRun(tree, start);
   }
 
   if (!GetVarint64(in, &offset, &count) || count > remaining()) return false;
-  state->tree_values.clear();
-  for (uint64_t i = 0; i < count; ++i) {
+  for (uint64_t k = 0; k < count; ++k) {
     uint64_t raw = 0;
     uint64_t values = 0;
     if (!GetVarint64(in, &offset, &raw) ||
         !GetVarint64(in, &offset, &values) || values > remaining()) {
       return false;
     }
-    auto& group =
-        state->tree_values[static_cast<int32_t>(ZigZagDecode(raw))];
+    std::vector<ResolveValue> group;
     group.reserve(values);
     for (uint64_t v = 0; v < values; ++v) {
       ResolveValue value;
       if (!KvCodec<ResolveValue>::Decode(in, &offset, &value)) return false;
       group.push_back(std::move(value));
     }
+    state->BufferTree(static_cast<int32_t>(ZigZagDecode(raw)),
+                      std::move(group));
   }
   uint64_t next_block = 0;
   if (!GetVarint64(in, &offset, &next_block)) return false;
@@ -454,11 +539,12 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
     const bool persist = !options_.checkpoint_dir.empty();
     // Job supervision needs the snapshots too: a deadline cut or
     // quarantine restores the latest alpha-boundary state.
-    if (options_.checkpoint_recovery || persist ||
-        options_.cluster.control.active()) {
-      states.InstallCheckpointRecovery(&job, options_.alpha, &checkpoints,
-                                       EncodeResolveTaskState,
-                                       DecodeResolveTaskState);
+    const bool checkpointed = options_.checkpoint_recovery || persist ||
+                              options_.cluster.control.active();
+    if (checkpointed) {
+      states.InstallWatermarkRecovery(&job, options_.alpha, &checkpoints,
+                                      EncodeResolveTaskDelta,
+                                      ApplyResolveTaskDelta);
       if (persist) {
         checkpoints.ConfigurePersistence(options_.checkpoint_dir,
                                          "resolution", options_.resume,
@@ -519,10 +605,14 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
           const int32_t tree_dom = schedule.dominance.at(
               BlockRefKey(ref.family, forest.FindTreeRoot(ref.node)));
           request.resolved = &state.resolved[tree_dom];
+          // Only a checkpoint restore ever undoes resolved pairs.
+          if (checkpointed) request.resolved_log = &state.resolved_log;
 
           request.on_duplicate = EventSink(&state, &ctx->clock());
 
+          const size_t log_start = state.LogEnd();
           const ResolveOutcome outcome = mechanism_.Resolve(request);
+          state.CloseRun(tree_dom, log_start);
           RecordResolveOutcome(outcome, &state, &ctx->counters());
         };
 
@@ -573,7 +663,7 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
             forests[static_cast<size_t>(first.family)];
         const int32_t tree_dom = schedule.dominance.at(
             BlockRefKey(first.family, forest.FindTreeRoot(first.node)));
-        state.tree_values[tree_dom] = std::move(*values);
+        state.BufferTree(tree_dom, std::move(*values));
         drain_pending(sq, ctx);
         return;
       }

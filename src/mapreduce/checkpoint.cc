@@ -1,6 +1,7 @@
 #include "mapreduce/checkpoint.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -19,13 +20,21 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// Binary framing of one persisted snapshot: "PRGC" magic, a version word,
-// the fixed fields (doubles as raw IEEE bits, so the round trip is exact),
-// the counters, the encoded-outputs blob and the driver-state blob, then a
-// CRC32 trailer over everything before it. Little-endian fixed-width
-// fields; a reader that runs off the end or fails the CRC rejects the file.
+// A task's journal is a sequence of frames, one per persisted save:
+//
+//   "PRGC" magic | u32 version | u32 task | u64 sequence (1, 2, ...) |
+//   u64 payload length | payload | u32 CRC32 over everything before it
+//
+// and the payload is the boundary's fixed fields (doubles as raw IEEE bits,
+// so the round trip is exact), its counters (absolute), then two delta
+// blobs: the outputs emitted and the driver-state growth since the previous
+// frame. Little-endian fixed-width fields. A reader replays frames while
+// each is whole, passes its CRC, and carries the expected task and
+// sequence number; the first that does not ends the valid prefix.
 constexpr char kMagic[4] = {'P', 'R', 'G', 'C'};
-constexpr uint32_t kVersion = 1;
+constexpr uint32_t kVersion = 2;
+constexpr size_t kFrameHeader = sizeof(kMagic) + 2 * sizeof(uint32_t) +
+                                2 * sizeof(uint64_t);
 
 void AppendU32(std::string* out, uint32_t v) {
   char raw[sizeof(v)];
@@ -50,7 +59,7 @@ void AppendBlob(std::string* out, std::string_view blob) {
   out->append(blob.data(), blob.size());
 }
 
-// Bounds-checked sequential reader over a loaded snapshot file.
+// Bounds-checked sequential reader over a loaded journal frame.
 struct FrameReader {
   std::string_view data;
   size_t pos = 0;
@@ -118,53 +127,52 @@ void CheckpointStore::Reset(int num_tasks) {
   if (!persistent() || !resume_) return;
   for (int t = 0; t < num_tasks; ++t) {
     TaskCheckpoint checkpoint;
-    if (!LoadPersisted(t, &checkpoint)) continue;
     Slot& slot = slots_[static_cast<size_t>(t)];
-    // Only the latest boundary survives a process death; it is the one
+    if (!LoadPersisted(t, &checkpoint, &slot)) continue;
+    // Only the latest boundary is restored from disk; it is the one
     // recovery point the resumed timing model can rely on.
     slot.points.push_back(checkpoint.cost);
-    slot.latest = std::make_unique<TaskCheckpoint>(std::move(checkpoint));
+    slot.history.push_back(std::move(checkpoint));
     slot.preloaded = true;
-    if (keep_history_) {
-      slot.history.push_back(std::make_unique<TaskCheckpoint>(*slot.latest));
-    }
   }
 }
 
 const TaskCheckpoint* CheckpointStore::Latest(int t) const {
   if (t < 0 || t >= num_tasks()) return nullptr;
-  return slots_[static_cast<size_t>(t)].latest.get();
+  const Slot& slot = slots_[static_cast<size_t>(t)];
+  return slot.history.empty() ? nullptr : &slot.history.back();
 }
 
 void CheckpointStore::Save(int t, TaskCheckpoint checkpoint) {
   if (t < 0 || t >= num_tasks()) return;
   Slot& slot = slots_[static_cast<size_t>(t)];
-  if (slot.latest != nullptr && checkpoint.cost <= slot.latest->cost) {
+  const TaskCheckpoint* previous =
+      slot.history.empty() ? nullptr : &slot.history.back();
+  if (previous != nullptr && checkpoint.cost <= previous->cost) {
     return;  // re-crossing an already-saved boundary on a resumed attempt
   }
+  if (persistent()) PersistSave(t, previous, checkpoint);
+  // The outputs delta lives on in the journal; in memory only the
+  // watermark (`outputs`) is needed.
+  checkpoint.encoded_outputs = std::string();
   slot.points.push_back(checkpoint.cost);
-  slot.latest = std::make_unique<TaskCheckpoint>(std::move(checkpoint));
+  if (!keep_history_) slot.history.clear();
+  slot.history.push_back(std::move(checkpoint));
   slot.preloaded = false;
   ++slot.saved;
-  if (keep_history_) {
-    slot.history.push_back(std::make_unique<TaskCheckpoint>(*slot.latest));
-  }
-  if (persistent()) PersistSave(t, *slot.latest);
 }
 
 const TaskCheckpoint* CheckpointStore::LatestAtOrBelow(int t,
                                                        double cost) const {
   if (t < 0 || t >= num_tasks()) return nullptr;
-  const Slot& slot = slots_[static_cast<size_t>(t)];
-  // History is ascending by cost (Save rejects non-advancing snapshots),
-  // so the first qualifying entry from the back is the highest one.
-  for (auto it = slot.history.rbegin(); it != slot.history.rend(); ++it) {
-    if ((*it)->cost <= cost) return it->get();
-  }
-  if (slot.latest != nullptr && slot.latest->cost <= cost) {
-    return slot.latest.get();
-  }
-  return nullptr;
+  const std::vector<TaskCheckpoint>& history =
+      slots_[static_cast<size_t>(t)].history;
+  // Ascending by cost (Save rejects non-advancing snapshots): the entry
+  // before the first one above `cost` is the highest qualifying one.
+  const auto above = std::upper_bound(
+      history.begin(), history.end(), cost,
+      [](double c, const TaskCheckpoint& ck) { return c < ck.cost; });
+  return above == history.begin() ? nullptr : &*std::prev(above);
 }
 
 void CheckpointStore::NoteRestore(int t) {
@@ -208,102 +216,148 @@ std::string CheckpointStore::PersistPath(int t) const {
       .string();
 }
 
-void CheckpointStore::PersistSave(int t, const TaskCheckpoint& checkpoint) {
+void CheckpointStore::PersistSave(int t, const TaskCheckpoint* previous,
+                                  const TaskCheckpoint& checkpoint) {
+  Slot& slot = slots_[static_cast<size_t>(t)];
+  if (slot.journal_failed) return;
+  std::string payload;
+  AppendDouble(&payload, checkpoint.cost);
+  AppendU64(&payload, static_cast<uint64_t>(checkpoint.groups));
+  AppendU64(&payload, static_cast<uint64_t>(checkpoint.records_in));
+  AppendU64(&payload, static_cast<uint64_t>(checkpoint.pairs_out));
+  AppendU64(&payload, static_cast<uint64_t>(checkpoint.outputs));
+  AppendU64(&payload, checkpoint.counters.values().size());
+  for (const auto& [name, value] : checkpoint.counters.values()) {
+    AppendBlob(&payload, name);
+    AppendU64(&payload, static_cast<uint64_t>(value));
+  }
+  AppendBlob(&payload, checkpoint.encoded_outputs);
+  std::string state_delta;
+  if (encode_state_ && checkpoint.driver_state != nullptr) {
+    state_delta = encode_state_(
+        t, previous != nullptr ? previous->driver_state.get() : nullptr,
+        checkpoint.driver_state.get());
+  }
+  AppendBlob(&payload, state_delta);
+
   std::string frame(kMagic, sizeof(kMagic));
   AppendU32(&frame, kVersion);
   AppendU32(&frame, static_cast<uint32_t>(t));
-  AppendDouble(&frame, checkpoint.cost);
-  AppendU64(&frame, static_cast<uint64_t>(checkpoint.groups));
-  AppendU64(&frame, static_cast<uint64_t>(checkpoint.records_in));
-  AppendU64(&frame, static_cast<uint64_t>(checkpoint.pairs_out));
-  AppendU64(&frame, static_cast<uint64_t>(checkpoint.outputs));
-  AppendU64(&frame, checkpoint.counters.values().size());
-  for (const auto& [name, value] : checkpoint.counters.values()) {
-    AppendBlob(&frame, name);
-    AppendU64(&frame, static_cast<uint64_t>(value));
-  }
-  AppendBlob(&frame, checkpoint.encoded_outputs);
-  AppendBlob(&frame, encode_state_ && checkpoint.driver_state != nullptr
-                         ? encode_state_(checkpoint.driver_state)
-                         : std::string());
+  AppendU64(&frame, static_cast<uint64_t>(slot.frames + 1));
+  AppendU64(&frame, payload.size());
+  frame += payload;
   AppendU32(&frame, Crc32(frame));
 
-  // Atomic replace: a crash mid-write leaves either the previous snapshot
-  // or none, never a torn one.
-  const std::string path = PersistPath(t);
-  const std::string temp = path + ".tmp";
+  // Append-only: a crash mid-write leaves at most a torn last frame, which
+  // the replay drops (falling back to the boundary before it).
+  const bool fresh = slot.frames == 0;
   std::error_code ec;
-  fs::create_directories(dir_, ec);
+  if (fresh) fs::create_directories(dir_, ec);
   {
-    std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-    if (!out || !out.write(frame.data(),
-                           static_cast<std::streamsize>(frame.size()))) {
-      fs::remove(temp, ec);
-      return;  // persistence is best-effort; the in-memory snapshot stands
-    }
-    out.flush();
-    if (!out) {
-      fs::remove(temp, ec);
+    std::ofstream out(PersistPath(t),
+                      std::ios::binary |
+                          (fresh ? std::ios::trunc : std::ios::app));
+    if (!out ||
+        !out.write(frame.data(), static_cast<std::streamsize>(frame.size())) ||
+        !out.flush()) {
+      // Persistence is best-effort; the in-memory snapshot stands.
+      slot.journal_failed = true;
       return;
     }
   }
-  fs::rename(temp, path, ec);
-  if (ec) {
-    fs::remove(temp, ec);
-    return;
-  }
-  ++persisted_saves_;
-  if (crash_after_saves_ > 0 && persisted_saves_ >= crash_after_saves_) {
+  ++slot.frames;
+  const int64_t persisted = persisted_saves_.fetch_add(1) + 1;
+  if (crash_after_saves_ > 0 && persisted >= crash_after_saves_) {
     // The deterministic mid-job kill behind the restart tests: no unwind,
     // no atexit — the closest portable stand-in for a machine power-off.
     std::_Exit(17);
   }
 }
 
-bool CheckpointStore::LoadPersisted(int t, TaskCheckpoint* checkpoint) {
-  std::ifstream in(PersistPath(t), std::ios::binary);
-  if (!in) return false;  // no snapshot for this task: not an error
-  std::string frame((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  auto corrupt = [this]() {
-    ++corrupt_checkpoints_;
-    return false;
-  };
-  if (frame.size() < sizeof(kMagic) + 2 * sizeof(uint32_t)) return corrupt();
-  const size_t body = frame.size() - sizeof(uint32_t);
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, frame.data() + body, sizeof(stored_crc));
-  if (Crc32(std::string_view(frame).substr(0, body)) != stored_crc) {
-    return corrupt();
+bool CheckpointStore::LoadPersisted(int t, TaskCheckpoint* checkpoint,
+                                    Slot* slot) {
+  const std::string path = PersistPath(t);
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;  // no journal for this task: not an error
+  const std::string journal((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  in.close();
+  const std::string_view view(journal);
+
+  // Replay the valid prefix: each frame's fixed fields and counters
+  // replace the previous frame's, its blobs extend the running deltas.
+  std::vector<std::string_view> driver_deltas;
+  size_t valid = 0;  // bytes of the valid prefix
+  int64_t count = 0;
+  while (valid < view.size()) {
+    const std::string_view rest = view.substr(valid);
+    if (rest.size() < kFrameHeader) break;
+    FrameReader header{rest.substr(0, kFrameHeader)};
+    char magic[sizeof(kMagic)];
+    header.Raw(magic, sizeof(magic));
+    const uint32_t version = header.U32();
+    const uint32_t task = header.U32();
+    const uint64_t sequence = header.U64();
+    const uint64_t length = header.U64();
+    if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0 ||
+        version != kVersion || task != static_cast<uint32_t>(t) ||
+        sequence != static_cast<uint64_t>(count + 1) ||
+        length > rest.size() - kFrameHeader ||
+        rest.size() - kFrameHeader - length < sizeof(uint32_t)) {
+      break;
+    }
+    const size_t body = kFrameHeader + static_cast<size_t>(length);
+    uint32_t stored_crc = 0;
+    std::memcpy(&stored_crc, rest.data() + body, sizeof(stored_crc));
+    if (Crc32(rest.substr(0, body)) != stored_crc) break;
+
+    FrameReader reader{rest.substr(kFrameHeader, length)};
+    TaskCheckpoint next;
+    next.cost = reader.Double();
+    next.groups = static_cast<int64_t>(reader.U64());
+    next.records_in = static_cast<int64_t>(reader.U64());
+    next.pairs_out = static_cast<int64_t>(reader.U64());
+    next.outputs = static_cast<size_t>(reader.U64());
+    const uint64_t num_counters = reader.U64();
+    for (uint64_t i = 0; reader.ok && i < num_counters; ++i) {
+      const std::string_view name = reader.Blob();
+      const int64_t value = static_cast<int64_t>(reader.U64());
+      if (reader.ok) next.counters.Increment(std::string(name), value);
+    }
+    const std::string_view outputs = reader.Blob();
+    const std::string_view state = reader.Blob();
+    if (!reader.ok || reader.pos != reader.data.size()) break;
+    next.encoded_outputs = std::move(checkpoint->encoded_outputs);
+    next.encoded_outputs.append(outputs.data(), outputs.size());
+    *checkpoint = std::move(next);
+    driver_deltas.push_back(state);
+    valid += body + sizeof(uint32_t);
+    ++count;
   }
-  FrameReader reader{std::string_view(frame).substr(0, body)};
-  char magic[sizeof(kMagic)];
-  if (!reader.Raw(magic, sizeof(magic)) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return corrupt();
+  const bool damaged = valid < view.size();
+  if (damaged) ++corrupt_checkpoints_;
+
+  const bool has_state =
+      std::any_of(driver_deltas.begin(), driver_deltas.end(),
+                  [](std::string_view delta) { return !delta.empty(); });
+  if (has_state) {
+    checkpoint->driver_state =
+        decode_state_ ? decode_state_(driver_deltas) : nullptr;
+    if (checkpoint->driver_state == nullptr) {
+      // The codec rejected a CRC-valid blob: distrust the whole journal.
+      if (!damaged) ++corrupt_checkpoints_;
+      count = 0;
+    }
   }
-  if (reader.U32() != kVersion) return corrupt();
-  if (reader.U32() != static_cast<uint32_t>(t)) return corrupt();
-  checkpoint->cost = reader.Double();
-  checkpoint->groups = static_cast<int64_t>(reader.U64());
-  checkpoint->records_in = static_cast<int64_t>(reader.U64());
-  checkpoint->pairs_out = static_cast<int64_t>(reader.U64());
-  checkpoint->outputs = static_cast<size_t>(reader.U64());
-  const uint64_t num_counters = reader.U64();
-  for (uint64_t i = 0; reader.ok && i < num_counters; ++i) {
-    const std::string_view name = reader.Blob();
-    const int64_t value = static_cast<int64_t>(reader.U64());
-    if (reader.ok) checkpoint->counters.Increment(std::string(name), value);
+  // Later frames append right after the valid prefix (or start afresh).
+  slot->frames = count;
+  if (damaged && count > 0) {
+    std::error_code ec;
+    fs::resize_file(path, valid, ec);
+    // Appending past the damage would strand the new frames.
+    if (ec) slot->journal_failed = true;
   }
-  checkpoint->encoded_outputs = std::string(reader.Blob());
-  const std::string_view state = reader.Blob();
-  if (!reader.ok || reader.pos != reader.data.size()) return corrupt();
-  checkpoint->driver_state =
-      decode_state_ && !state.empty() ? decode_state_(state) : nullptr;
-  if (!state.empty() && checkpoint->driver_state == nullptr) {
-    return corrupt();  // the codec rejected the blob
-  }
-  return true;
+  return count > 0;
 }
 
 }  // namespace progres

@@ -1,6 +1,7 @@
 #ifndef PROGRES_MAPREDUCE_CHECKPOINT_H_
 #define PROGRES_MAPREDUCE_CHECKPOINT_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -27,16 +28,24 @@ namespace progres {
 // A snapshot captures both halves of a task's state:
 //   * the job-side context — cost clock, user counters, emitted outputs and
 //     input-progress watermarks (group index / records consumed);
-//   * the driver-side state — an opaque, type-erased copy produced by the
-//     driver's save hook (for the progressive driver: the resolved-block
-//     watermark, per-tree resolved-pair sets and buffered tree groups).
+//   * the driver-side state — an opaque, type-erased value produced by the
+//     driver's save hook. A task's state only grows between boundaries
+//     (logs are appended to, counters advance), so for the progressive
+//     driver this is a set of watermarks — log lengths and counters — and a
+//     restore truncates the live state back to them (er_driver.h).
+//
+// Persistence is a per-task journal: each accepted save appends one
+// CRC-framed delta record holding what the task produced since the
+// previous save (DESIGN.md §14), so a save costs O(delta), not O(state).
+// A resumed process replays the journal's valid prefix.
 //
 // The store also remembers every boundary's cost ("recovery points"): the
 // timing model consults them to cost the replacement of an attempt killed
 // by a machine failure (cluster.h, AttemptScheduleOptions::recovery_points).
 //
 // Each reduce task touches only its own slot, so the store needs no
-// synchronization beyond the job's task barrier.
+// synchronization beyond the job's task barrier; the one job-wide tally
+// persisted saves bump (the crash hook's count) is atomic.
 
 // One saved snapshot of a reduce task at an emission boundary.
 struct TaskCheckpoint {
@@ -47,10 +56,13 @@ struct TaskCheckpoint {
   size_t outputs = 0;       // length of the task's output vector
   Counters counters;        // user counters at the boundary
   std::shared_ptr<const void> driver_state;  // driver save-hook snapshot
-  // KvCodec-encoded copy of the task's output vector at the boundary.
-  // Filled only when the store persists to disk (an in-process restore
-  // reuses the live context's outputs); a resumed *process* decodes it to
-  // rebuild the outputs a dead process can no longer hand over.
+  // KvCodec-encoded task outputs. Handed to Save, it holds only the outputs
+  // emitted since the task's previous snapshot — the job fills it when the
+  // store persists, the store appends it to the journal frame and drops it
+  // (an in-process restore reuses the live context's outputs). On a
+  // snapshot loaded back from a journal it holds every output up to the
+  // boundary, which a resumed *process* decodes to rebuild the outputs a
+  // dead process can no longer hand over.
   std::string encoded_outputs;
 };
 
@@ -59,26 +71,39 @@ struct TaskCheckpoint {
 // "mr.checkpoint.saved" / "mr.checkpoint.restored".
 class CheckpointStore {
  public:
-  // Type-erased codec for the driver-state half of a snapshot. Installed by
-  // the driver alongside its save/restore hooks; without one, persisted
-  // snapshots carry an empty driver blob (jobs whose reduce state lives
-  // entirely in the job-side context need none).
+  // Type-erased codec for the driver-state half of a journal, installed by
+  // the driver alongside its save/restore hooks. Without one, frames carry
+  // an empty driver blob (jobs whose reduce state lives entirely in the
+  // job-side context need none).
+  //
+  // `encode(task, from, to)` serializes task `task`'s driver-state growth
+  // between two of its save-hook snapshots: `from` is the snapshot of the
+  // journal's previous frame (null for the first frame: growth since the
+  // empty state). It is called from within Save, while the task's live
+  // state still sits exactly at `to`, so it may read the delta off it.
   using StateEncodeFn =
-      std::function<std::string(const std::shared_ptr<const void>&)>;
-  using StateDecodeFn =
-      std::function<std::shared_ptr<const void>(std::string_view)>;
+      std::function<std::string(int task, const void* from, const void* to)>;
+  // `decode(deltas)` replays a journal's driver blobs, oldest first, onto an
+  // empty state and returns the snapshot of the result — one the restore
+  // hook must be able to install into a freshly started process. Null
+  // rejects the journal as corrupt.
+  using StateDecodeFn = std::function<std::shared_ptr<const void>(
+      const std::vector<std::string_view>& deltas)>;
 
   CheckpointStore() = default;
 
-  // Arms disk persistence: every accepted Save is also written atomically
-  // (temp file + rename) to `dir`/`tag`-task<N>.ckpt, CRC-framed. With
-  // `resume`, the next Reset loads the surviving files back — a process
-  // killed mid-job can restart and replay only past the last persisted
-  // boundary. Snapshots failing validation on load are ignored (and
-  // tallied); the task simply replays from scratch. `crash_after_saves`
-  // > 0 kills the process (std::_Exit) after that many persisted saves —
-  // the deterministic crash hook behind the restart tests and the CLI's
-  // --crash-after-checkpoints. Empty `dir` disarms persistence.
+  // Arms disk persistence: every accepted Save also appends a CRC-framed
+  // delta record to the journal `dir`/`tag`-task<N>.ckpt (the first save of
+  // a run starts the journal afresh). With `resume`, the next Reset loads
+  // the surviving journals back — a process killed mid-job can restart and
+  // replay only past the last persisted boundary. Loading replays a
+  // journal's valid prefix of frames: a torn or corrupt frame ends it (the
+  // task falls back to the boundary before it), so a corrupt first frame
+  // leaves the task to replay from scratch; either case is tallied.
+  // `crash_after_saves` > 0 kills the process (std::_Exit) after that many
+  // persisted saves — the deterministic crash hook behind the restart tests
+  // and the CLI's --crash-after-checkpoints. Empty `dir` disarms
+  // persistence.
   void ConfigurePersistence(std::string dir, std::string tag, bool resume,
                             int crash_after_saves = 0);
 
@@ -90,20 +115,22 @@ class CheckpointStore {
   // Drops all snapshots and tallies and resizes to `num_tasks` slots.
   // MapReduceJob::Run calls this at submission, so a store can be reused
   // across runs. Persistence config survives; with resume armed, each
-  // task's persisted snapshot (if any, and valid) is loaded back and
-  // marked preloaded.
+  // task's persisted journal (if any, and valid) is loaded back and its
+  // latest boundary marked preloaded.
   void Reset(int num_tasks);
 
   int num_tasks() const { return static_cast<int>(slots_.size()); }
 
-  // Latest snapshot of task `t`, or nullptr if none was saved yet.
+  // Latest snapshot of task `t`, or nullptr if none was saved yet. Valid
+  // until the task's next Save or the store's next Reset.
   const TaskCheckpoint* Latest(int t) const;
 
-  // Arms boundary-history retention: every accepted Save also keeps a copy
-  // of the snapshot, so LatestAtOrBelow can cut a task back to *any*
-  // crossed boundary — what deadline enforcement needs. Off by default
-  // (only the latest snapshot is kept, the historical memory footprint).
-  // Armed by MapReduceJob when job supervision is active; survives Reset.
+  // Arms boundary-history retention: every accepted Save is also kept, so
+  // LatestAtOrBelow can cut a task back to *any* crossed boundary — what
+  // deadline enforcement needs. Snapshots are watermarks, so each retained
+  // boundary costs O(1). Off by default (only the latest snapshot is
+  // kept). Armed by MapReduceJob when job supervision is active; survives
+  // Reset.
   void set_keep_history(bool keep) { keep_history_ = keep; }
   bool keep_history() const { return keep_history_; }
 
@@ -133,27 +160,35 @@ class CheckpointStore {
   // Job-wide tallies.
   int64_t saved() const;
   int64_t restored() const;
-  // Persisted snapshots that failed validation on a resume load.
+  // Persisted journals whose replay stopped at a torn or corrupt frame (or
+  // whose driver blobs the codec rejected) on a resume load.
   int64_t corrupt_checkpoints() const { return corrupt_checkpoints_; }
 
-  // Deletes this store's persisted files (called after a successful job —
-  // a finished job must not be "resumed").
+  // Deletes this store's persisted journals (called after a successful job
+  // — a finished job must not be "resumed").
   void CleanupPersisted();
 
  private:
   struct Slot {
-    std::unique_ptr<TaskCheckpoint> latest;
-    // Every accepted snapshot in ascending cost order (keep_history only).
-    std::vector<std::unique_ptr<TaskCheckpoint>> history;
+    // Accepted snapshots in ascending cost order; only the latest unless
+    // keep_history.
+    std::vector<TaskCheckpoint> history;
     std::vector<double> points;
     int64_t saved = 0;
     int64_t restored = 0;
     bool preloaded = false;
+    // Frames in the task's journal file, all valid: the next frame's
+    // sequence number is frames + 1, and 0 starts the file afresh.
+    int64_t frames = 0;
+    // A frame failed to write: later frames would leave a gap the replay
+    // cannot bridge, so this run appends no more (the valid prefix stands).
+    bool journal_failed = false;
   };
 
   std::string PersistPath(int t) const;
-  void PersistSave(int t, const TaskCheckpoint& checkpoint);
-  bool LoadPersisted(int t, TaskCheckpoint* checkpoint);
+  void PersistSave(int t, const TaskCheckpoint* previous,
+                   const TaskCheckpoint& checkpoint);
+  bool LoadPersisted(int t, TaskCheckpoint* checkpoint, Slot* slot);
 
   std::vector<Slot> slots_;
   std::string dir_;
@@ -161,7 +196,8 @@ class CheckpointStore {
   bool keep_history_ = false;
   bool resume_ = false;
   int crash_after_saves_ = 0;
-  int64_t persisted_saves_ = 0;
+  // Bumped by concurrent reduce workers under the threaded backend.
+  std::atomic<int64_t> persisted_saves_{0};
   int64_t corrupt_checkpoints_ = 0;
   StateEncodeFn encode_state_;
   StateDecodeFn decode_state_;

@@ -226,9 +226,10 @@ class MapReduceJob {
   void set_poison_faults(bool sensitive) { poison_faults_ = sensitive; }
 
   // Driver-state snapshot/restore hooks for checkpointed recovery. `save`
-  // returns a type-erased copy of the driver's per-task state; `restore`
-  // replaces the task's state with a snapshot, or resets it to
-  // freshly-constructed when the snapshot is null (no checkpoint yet).
+  // returns a type-erased snapshot of the driver's per-task state (a copy,
+  // or watermarks into a state that only grows); `restore` rewinds the
+  // task's state to a snapshot, or resets it to freshly-constructed when
+  // the snapshot is null (no checkpoint yet).
   using SaveStateFn = std::function<std::shared_ptr<const void>(int task_id)>;
   using RestoreStateFn =
       std::function<void(int task_id, const void* snapshot)>;
@@ -1783,7 +1784,7 @@ class MapReduceJob {
     if (ctx->outputs_.size() < checkpoint.outputs &&
         !checkpoint.encoded_outputs.empty()) {
       // A snapshot loaded from disk by a restarted process: the live
-      // context never held the outputs, so decode the persisted copy.
+      // context never held the outputs, so decode the journal's copy.
       ctx->outputs_.clear();
       const std::string_view view(checkpoint.encoded_outputs);
       size_t offset = 0;
@@ -1831,11 +1832,13 @@ class MapReduceJob {
     checkpoint.outputs = ctx->outputs_.size();
     checkpoint.counters = ctx->counters_;
     if (checkpoint_store_->persistent()) {
-      // A restarted process can't reuse this context's live outputs, so a
-      // persisted snapshot carries an encoded copy of them.
-      for (const auto& kv : ctx->outputs_) {
-        KvCodec<K>::Encode(kv.first, &checkpoint.encoded_outputs);
-        KvCodec<V>::Encode(kv.second, &checkpoint.encoded_outputs);
+      // A restarted process can't reuse this context's live outputs, so the
+      // journal frame carries the outputs emitted since the last snapshot.
+      const size_t from = latest != nullptr ? latest->outputs : 0;
+      for (size_t i = from; i < ctx->outputs_.size(); ++i) {
+        KvCodec<K>::Encode(ctx->outputs_[i].first, &checkpoint.encoded_outputs);
+        KvCodec<V>::Encode(ctx->outputs_[i].second,
+                           &checkpoint.encoded_outputs);
       }
     }
     if (checkpoint_save_) checkpoint.driver_state = checkpoint_save_(task);

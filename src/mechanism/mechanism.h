@@ -82,6 +82,10 @@ struct ResolveRequest {
   // resolution, Sec. III-A). Pairs found here are skipped; newly resolved
   // pairs are inserted. May be null.
   std::unordered_set<PairKey>* resolved = nullptr;
+  // When set (with `resolved`), every pair newly inserted into `resolved` is
+  // also appended here, in insertion order, so the caller can later undo
+  // the insertions past a point (checkpoint restore). May be null.
+  std::vector<PairKey>* resolved_log = nullptr;
   // Invoked for every duplicate found, after the comparison is charged, so
   // the callback can read `clock` for the event's task-local cost.
   std::function<void(EntityId, EntityId)> on_duplicate;

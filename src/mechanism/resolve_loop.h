@@ -41,7 +41,12 @@ class ResolveLoop {
     }
     request_.clock->Charge(costs_.comparison);
     const bool is_duplicate = request_.match->Resolve(a, b);
-    if (request_.resolved != nullptr) request_.resolved->insert(key);
+    if (request_.resolved != nullptr) {
+      request_.resolved->insert(key);
+      if (request_.resolved_log != nullptr) {
+        request_.resolved_log->push_back(key);
+      }
+    }
     if (is_duplicate) {
       ++outcome_.duplicates;
       if (request_.on_duplicate) request_.on_duplicate(a.id, b.id);

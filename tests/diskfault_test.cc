@@ -13,7 +13,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -26,6 +28,7 @@
 #include "mapreduce/executor.h"
 #include "mapreduce/fault.h"
 #include "mapreduce/job.h"
+#include "mapreduce/serde.h"
 #include "mapreduce/trace.h"
 #include "mechanism/sorted_neighbor.h"
 #include "model/entity.h"
@@ -500,6 +503,127 @@ TEST(CheckpointPersistenceTest, TruncatedSnapshotIsIgnored) {
   reader.Reset(1);
   EXPECT_EQ(reader.Latest(0), nullptr);
   EXPECT_EQ(reader.corrupt_checkpoints(), 1);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointPersistenceTest, TruncatedLastFrameRestoresPreviousBoundary) {
+  const std::filesystem::path dir = FreshDir("progres_diskfault_ckpt_tail");
+  const auto boundary = [](double cost, const std::string& delta) {
+    TaskCheckpoint checkpoint = SampleCheckpoint();
+    checkpoint.cost = cost;
+    checkpoint.groups = static_cast<int64_t>(cost);
+    checkpoint.encoded_outputs = delta;
+    return checkpoint;
+  };
+  CheckpointStore writer;
+  writer.ConfigurePersistence(dir.string(), "t", /*resume=*/false);
+  writer.Reset(1);
+  writer.Save(0, boundary(10.0, "first|"));
+  writer.Save(0, boundary(20.0, "second|"));
+  const std::filesystem::path file =
+      *std::filesystem::directory_iterator(dir);
+  const uintmax_t two_frames = std::filesystem::file_size(file);
+  writer.Save(0, boundary(30.0, "third|"));
+  // A crash mid-append: the last frame is cut short.
+  std::filesystem::resize_file(file, std::filesystem::file_size(file) - 3);
+
+  CheckpointStore reader;
+  reader.ConfigurePersistence(dir.string(), "t", /*resume=*/true);
+  reader.Reset(1);
+  ASSERT_TRUE(reader.Preloaded(0));
+  const TaskCheckpoint* loaded = reader.Latest(0);
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_DOUBLE_EQ(loaded->cost, 20.0);
+  EXPECT_EQ(loaded->groups, 20);
+  // Every frame's outputs delta up to the surviving boundary, in order.
+  EXPECT_EQ(loaded->encoded_outputs, "first|second|");
+  EXPECT_EQ(reader.corrupt_checkpoints(), 1);
+  // The torn tail is cut off, so the resumed run's next frame appends
+  // right after the valid prefix.
+  EXPECT_EQ(std::filesystem::file_size(file), two_frames);
+  reader.Save(0, boundary(30.0, "third|"));
+
+  CheckpointStore again;
+  again.ConfigurePersistence(dir.string(), "t", /*resume=*/true);
+  again.Reset(1);
+  ASSERT_NE(again.Latest(0), nullptr);
+  EXPECT_DOUBLE_EQ(again.Latest(0)->cost, 30.0);
+  EXPECT_EQ(again.Latest(0)->encoded_outputs, "first|second|third|");
+  EXPECT_EQ(again.corrupt_checkpoints(), 0);
+  std::filesystem::remove_all(dir);
+}
+
+// A driver state that only grows, with the watermark codec the progressive
+// driver uses: a save persists just the values appended since the last one.
+TEST(CheckpointPersistenceTest, JournalGrowsWithTheDelta) {
+  const std::filesystem::path dir = FreshDir("progres_diskfault_ckpt_delta");
+  std::vector<int64_t> live;  // task 0's driver state
+  const auto install_codec = [&live](CheckpointStore* store) {
+    store->SetStateCodec(
+        [&live](int, const void* from, const void* to) {
+          const size_t begin =
+              from != nullptr ? *static_cast<const size_t*>(from) : 0;
+          const size_t end = *static_cast<const size_t*>(to);
+          std::string blob;
+          for (size_t i = begin; i < end; ++i) {
+            PutVarint64(static_cast<uint64_t>(live[i]), &blob);
+          }
+          return blob;
+        },
+        [](const std::vector<std::string_view>& deltas)
+            -> std::shared_ptr<const void> {
+          size_t values = 0;
+          for (const std::string_view delta : deltas) {
+            size_t offset = 0;
+            uint64_t value = 0;
+            while (offset < delta.size()) {
+              if (!GetVarint64(delta, &offset, &value)) return nullptr;
+              ++values;
+            }
+          }
+          return std::make_shared<const size_t>(values);
+        });
+  };
+  const auto save = [&live](CheckpointStore* store, double cost) {
+    TaskCheckpoint checkpoint;
+    checkpoint.cost = cost;
+    checkpoint.driver_state = std::make_shared<const size_t>(live.size());
+    store->Save(0, std::move(checkpoint));
+  };
+
+  constexpr int kSaves = 40;
+  CheckpointStore journal;
+  journal.ConfigurePersistence(dir.string(), "delta", /*resume=*/false);
+  install_codec(&journal);
+  journal.Reset(1);
+  for (int s = 1; s <= kSaves; ++s) {
+    for (int i = 0; i < 200; ++i) live.push_back(int64_t{1000003} * s + i);
+    save(&journal, s);
+  }
+  const uintmax_t journal_bytes =
+      std::filesystem::file_size(dir / "delta-task0.ckpt");
+
+  // One full encoding of the final state: a single frame from empty.
+  CheckpointStore single;
+  single.ConfigurePersistence(dir.string(), "full", /*resume=*/false);
+  install_codec(&single);
+  single.Reset(1);
+  save(&single, kSaves);
+  const uintmax_t full_bytes =
+      std::filesystem::file_size(dir / "full-task0.ckpt");
+  EXPECT_LT(journal_bytes, 2 * full_bytes)
+      << "journal " << journal_bytes << " B vs one full frame " << full_bytes
+      << " B";
+
+  // The journal replays to the whole state.
+  CheckpointStore reader;
+  reader.ConfigurePersistence(dir.string(), "delta", /*resume=*/true);
+  install_codec(&reader);
+  reader.Reset(1);
+  ASSERT_NE(reader.Latest(0), nullptr);
+  EXPECT_EQ(*static_cast<const size_t*>(reader.Latest(0)->driver_state.get()),
+            live.size());
+  EXPECT_EQ(reader.corrupt_checkpoints(), 0);
   std::filesystem::remove_all(dir);
 }
 

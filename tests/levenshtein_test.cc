@@ -1,5 +1,9 @@
+#include <algorithm>
+#include <cstdint>
 #include <string>
-#include <tuple>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +12,33 @@
 
 namespace progres {
 namespace {
+
+// The classic two-row dynamic program, O(|a|*|b|): the reference the
+// bit-parallel kernel is held to.
+int64_t ReferenceLevenshtein(std::string_view a, std::string_view b) {
+  if (a.size() > b.size()) std::swap(a, b);
+  const size_t n = a.size();
+  const size_t m = b.size();
+  std::vector<int64_t> row(n + 1);
+  for (size_t i = 0; i <= n; ++i) row[i] = static_cast<int64_t>(i);
+  for (size_t j = 1; j <= m; ++j) {
+    int64_t diag = row[0];
+    row[0] = static_cast<int64_t>(j);
+    for (size_t i = 1; i <= n; ++i) {
+      const int64_t subst = diag + (a[i - 1] == b[j - 1] ? 0 : 1);
+      diag = row[i];
+      row[i] = std::min({row[i] + 1, row[i - 1] + 1, subst});
+    }
+  }
+  return row[n];
+}
+
+double ReferenceEditSimilarity(std::string_view a, std::string_view b) {
+  const size_t longest = std::max(a.size(), b.size());
+  if (longest == 0) return 1.0;
+  return 1.0 - static_cast<double>(ReferenceLevenshtein(a, b)) /
+                   static_cast<double>(longest);
+}
 
 TEST(LevenshteinTest, IdenticalStrings) {
   EXPECT_EQ(Levenshtein("kitten", "kitten"), 0);
@@ -35,22 +66,24 @@ TEST(LevenshteinTest, SingleEdits) {
   EXPECT_EQ(Levenshtein("abc", "abxc"), 1); // insertion
 }
 
-TEST(BoundedLevenshteinTest, WithinBoundMatchesExact) {
-  EXPECT_EQ(BoundedLevenshtein("kitten", "sitting", 5), 3);
+TEST(LevenshteinTest, WordBoundaryPatterns) {
+  // Patterns filling exactly one word, one bit past it, and two words.
+  for (const size_t n : {63u, 64u, 65u, 127u, 128u, 129u}) {
+    const std::string a(n, 'x');
+    EXPECT_EQ(Levenshtein(a, ""), static_cast<int64_t>(n));
+    EXPECT_EQ(Levenshtein(a, a + "y"), 1);
+    EXPECT_EQ(Levenshtein(a, std::string(n, 'y')), static_cast<int64_t>(n));
+    std::string b = a;
+    b[n / 2] = 'y';
+    EXPECT_EQ(Levenshtein(a, b), 1) << "n=" << n;
+  }
 }
 
-TEST(BoundedLevenshteinTest, ExceedsBoundReturnsBoundPlusOne) {
-  EXPECT_EQ(BoundedLevenshtein("kitten", "sitting", 2), 3);
-  EXPECT_EQ(BoundedLevenshtein("aaaa", "bbbb", 1), 2);
-}
-
-TEST(BoundedLevenshteinTest, LengthGapShortCircuits) {
-  EXPECT_EQ(BoundedLevenshtein("a", "abcdefgh", 3), 4);
-}
-
-TEST(BoundedLevenshteinTest, ZeroBound) {
-  EXPECT_EQ(BoundedLevenshtein("same", "same", 0), 0);
-  EXPECT_EQ(BoundedLevenshtein("same", "samx", 0), 1);
+TEST(LevenshteinTest, HighAndNulBytes) {
+  const std::string a("\x00\xff\x80z", 4);
+  const std::string b("\xff\x00\x80", 3);
+  EXPECT_EQ(Levenshtein(a, b), ReferenceLevenshtein(a, b));
+  EXPECT_EQ(Levenshtein(a, a), 0);
 }
 
 TEST(EditSimilarityTest, Bounds) {
@@ -64,44 +97,138 @@ TEST(EditSimilarityTest, PartialOverlap) {
   EXPECT_DOUBLE_EQ(EditSimilarity("abcd", "abxd"), 0.75);
 }
 
-// Property sweep: the banded implementation must agree with the classic DP
-// whenever the true distance is within the bound, and report bound + 1
-// otherwise. Random strings across several alphabet sizes and length ranges.
-class LevenshteinPropertyTest
-    : public testing::TestWithParam<std::tuple<int, int, int>> {};
+// ---- Differential test against the reference DP ----
 
-TEST_P(LevenshteinPropertyTest, BandedAgreesWithExact) {
-  const auto [seed, max_len, alphabet] = GetParam();
-  Rng rng(static_cast<uint64_t>(seed));
-  for (int iter = 0; iter < 300; ++iter) {
-    std::string a;
-    std::string b;
-    const int la = static_cast<int>(rng.UniformU64(static_cast<uint64_t>(max_len) + 1));
-    const int lb = static_cast<int>(rng.UniformU64(static_cast<uint64_t>(max_len) + 1));
-    for (int i = 0; i < la; ++i) {
-      a.push_back(static_cast<char>('a' + rng.UniformU64(static_cast<uint64_t>(alphabet))));
+// A random string of `length` bytes over `alphabet` consecutive byte values
+// starting at `base` (wrapping past 0xff), so alphabets of 256 cover every
+// byte and shifted small alphabets reach bytes >= 0x80.
+std::string RandomBytes(Rng* rng, size_t length, int alphabet, int base) {
+  std::string s;
+  s.reserve(length);
+  for (size_t i = 0; i < length; ++i) {
+    const int symbol = base + static_cast<int>(rng->UniformU64(
+                                  static_cast<uint64_t>(alphabet)));
+    s.push_back(static_cast<char>(static_cast<unsigned char>(symbol & 0xff)));
+  }
+  return s;
+}
+
+// A near-duplicate of `s`: a few random substitutions, insertions and
+// deletions drawn from the same alphabet.
+std::string Mutate(Rng* rng, std::string s, int alphabet, int base) {
+  const int edits = static_cast<int>(rng->UniformU64(6));
+  for (int e = 0; e < edits; ++e) {
+    const std::string c = RandomBytes(rng, 1, alphabet, base);
+    const size_t pos = s.empty() ? 0 : rng->UniformU64(s.size());
+    switch (rng->UniformU64(3)) {
+      case 0:
+        if (!s.empty()) s[pos] = c[0];
+        break;
+      case 1:
+        s.insert(pos, c);
+        break;
+      default:
+        if (!s.empty()) s.erase(pos, 1);
+        break;
     }
-    for (int i = 0; i < lb; ++i) {
-      b.push_back(static_cast<char>('a' + rng.UniformU64(static_cast<uint64_t>(alphabet))));
-    }
-    const int64_t exact = Levenshtein(a, b);
-    for (int64_t bound : {0L, 1L, 2L, 5L, 30L}) {
-      const int64_t banded = BoundedLevenshtein(a, b, bound);
-      if (exact <= bound) {
-        EXPECT_EQ(banded, exact) << "a=" << a << " b=" << b << " k=" << bound;
-      } else {
-        EXPECT_EQ(banded, bound + 1)
-            << "a=" << a << " b=" << b << " k=" << bound << " exact=" << exact;
+  }
+  return s;
+}
+
+// Holds Levenshtein and EditSimilarity to exact equality with the reference
+// over `count` pairs drawn by `draw`. Returns the number of mismatches so
+// one failure does not flood the log.
+template <typename Draw>
+int Compare(int count, Draw draw) {
+  int mismatches = 0;
+  for (int i = 0; i < count; ++i) {
+    const auto [a, b] = draw();
+    const int64_t expected = ReferenceLevenshtein(a, b);
+    const int64_t got = Levenshtein(a, b);
+    const double sim = EditSimilarity(a, b);
+    const double expected_sim = ReferenceEditSimilarity(a, b);
+    if (got != expected || sim != expected_sim) {
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << "|a|=" << a.size() << " |b|=" << b.size()
+                      << " expected " << expected << " got " << got;
       }
     }
   }
+  return mismatches;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, LevenshteinPropertyTest,
-    testing::Values(std::make_tuple(1, 8, 2), std::make_tuple(2, 8, 26),
-                    std::make_tuple(3, 20, 3), std::make_tuple(4, 20, 26),
-                    std::make_tuple(5, 40, 4)));
+constexpr int kAlphabets[] = {2, 4, 26, 256};
+constexpr int kBases[] = {0x61, 0xf0, 0x7e, 0x00};
+
+int Alphabet(Rng* rng) { return kAlphabets[rng->UniformU64(4)]; }
+int Base(Rng* rng) { return kBases[rng->UniformU64(4)]; }
+
+TEST(LevenshteinDifferentialTest, ShortRandomPairs) {
+  Rng rng(101);
+  const auto draw = [&] {
+    const int alphabet = Alphabet(&rng);
+    const int base = Base(&rng);
+    std::string a = RandomBytes(&rng, rng.UniformU64(71), alphabet, base);
+    std::string b = RandomBytes(&rng, rng.UniformU64(71), alphabet, base);
+    return std::make_pair(std::move(a), std::move(b));
+  };
+  EXPECT_EQ(Compare(150000, draw), 0);
+}
+
+TEST(LevenshteinDifferentialTest, WordBoundaryLengths) {
+  // Patterns of 63/64/65/127/128/129 bytes against texts of nearby length:
+  // the single-word limit and the multi-word carry across one and two
+  // block seams. The random texts differ from the pattern in their first
+  // and last byte, so stripping a shared prefix or suffix cannot shorten
+  // the pattern off the boundary; the near-duplicates cover the stripping.
+  constexpr size_t kBoundaries[] = {63, 64, 65, 127, 128, 129};
+  Rng rng(202);
+  const auto draw = [&] {
+    const int alphabet = Alphabet(&rng);
+    const int base = Base(&rng);
+    const size_t n = kBoundaries[rng.UniformU64(6)];
+    std::string a = RandomBytes(&rng, n, alphabet, base);
+    std::string b;
+    if (rng.UniformU64(2) == 0) {
+      b = RandomBytes(&rng, n + rng.UniformU64(80), alphabet, base);
+      b.front() = static_cast<char>(a.front() ^ 1);
+      b.back() = static_cast<char>(a.back() ^ 1);
+    } else {
+      b = Mutate(&rng, a, alphabet, base);
+    }
+    if (rng.UniformU64(2) == 0) std::swap(a, b);
+    return std::make_pair(std::move(a), std::move(b));
+  };
+  EXPECT_EQ(Compare(24000, draw), 0);
+}
+
+TEST(LevenshteinDifferentialTest, LongRandomPairs) {
+  Rng rng(303);
+  const auto draw = [&] {
+    const int alphabet = Alphabet(&rng);
+    const int base = Base(&rng);
+    std::string a = RandomBytes(&rng, rng.UniformU64(401), alphabet, base);
+    std::string b = RandomBytes(&rng, rng.UniformU64(401), alphabet, base);
+    return std::make_pair(std::move(a), std::move(b));
+  };
+  EXPECT_EQ(Compare(4000, draw), 0);
+}
+
+TEST(LevenshteinDifferentialTest, NearDuplicatePairs) {
+  // Few edits apart — the pairs a resolve loop mostly sees — including a
+  // shared prefix and suffix for the stripping to remove.
+  Rng rng(404);
+  const auto draw = [&] {
+    const int alphabet = Alphabet(&rng);
+    const int base = Base(&rng);
+    const size_t length = rng.UniformU64(8) == 0 ? rng.UniformU64(401)
+                                                 : rng.UniformU64(141);
+    std::string a = RandomBytes(&rng, length, alphabet, base);
+    std::string b = Mutate(&rng, a, alphabet, base);
+    return std::make_pair(std::move(a), std::move(b));
+  };
+  EXPECT_EQ(Compare(30000, draw), 0);
+}
 
 }  // namespace
 }  // namespace progres

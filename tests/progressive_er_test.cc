@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <filesystem>
 
 #include <gtest/gtest.h>
 
@@ -189,6 +190,52 @@ TEST(ProgressiveErTest, AlphaControlsChunkCount) {
   // With a huge alpha there is exactly one chunk per reduce task.
   EXPECT_EQ(coarse_run.chunks.size(),
             static_cast<size_t>(TestCluster().reduce_slots()));
+}
+
+// Persisted checkpoints on the threaded backend: concurrent reduce workers
+// each append to their own task's journal (and share the store's crash-hook
+// tally), which the TSan job checks. The pairs must match the simulated
+// run's, and a finished run leaves no journal behind.
+TEST(ProgressiveErTest, ThreadedRunPersistsCheckpoints) {
+  const Fixture fx(1500);
+  ProgressiveErOptions simulated = fx.Options();
+  simulated.alpha = 200.0;
+  const ErRunResult reference =
+      ProgressiveEr(fx.blocking, fx.match, fx.sn, fx.prob, simulated)
+          .Run(fx.data.dataset);
+  ASSERT_FALSE(reference.failed) << reference.error;
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "progres_threaded_ckpt";
+  std::filesystem::remove_all(dir);
+  // With injected reduce failures the retries restore the latest
+  // checkpoint, truncating each task's state from its worker thread.
+  for (const bool faults : {false, true}) {
+    ProgressiveErOptions threaded = simulated;
+    threaded.cluster.backend = ExecutionBackend::kThreaded;
+    threaded.cluster.execution_threads = 3;
+    threaded.checkpoint_dir = dir.string();
+    if (faults) {
+      threaded.cluster.fault.enabled = true;
+      threaded.cluster.fault.max_attempts = 4;
+      for (int task = 0; task < threaded.cluster.reduce_slots(); ++task) {
+        threaded.cluster.fault.injected.push_back(
+            {TaskPhase::kReduce, task, 0});
+      }
+    }
+    const ErRunResult run =
+        ProgressiveEr(fx.blocking, fx.match, fx.sn, fx.prob, threaded)
+            .Run(fx.data.dataset);
+    ASSERT_FALSE(run.failed) << run.error;
+    EXPECT_EQ(run.duplicates, reference.duplicates) << "faults=" << faults;
+    EXPECT_EQ(run.comparisons, reference.comparisons) << "faults=" << faults;
+    EXPECT_GT(run.counters.Get("mr.checkpoint.saved"), 0);
+    if (faults) {
+      EXPECT_GT(run.counters.Get("mr.checkpoint.restored"), 0);
+    }
+    EXPECT_TRUE(std::filesystem::is_empty(dir)) << "faults=" << faults;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
