@@ -192,26 +192,46 @@ struct BenchMetric {
 
 // Score of this machine/build for normalizing wall metrics: iterations per
 // second of a fixed xorshift loop (loop-carried dependency, so it measures
-// scalar throughput rather than vectorizer luck). Best of three short reps.
-inline double CalibrationScore() {
+// scalar throughput rather than vectorizer luck), one short rep.
+inline double CalibrationRep() {
   constexpr int64_t kOps = int64_t{1} << 24;
   volatile uint64_t sink = 0;
-  double best = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    Stopwatch watch;
-    uint64_t x = 88172645463325252ull;
-    for (int64_t i = 0; i < kOps; ++i) {
-      x ^= x << 13;
-      x ^= x >> 7;
-      x ^= x << 17;
-    }
-    sink = sink + x;
-    const double seconds = watch.ElapsedSeconds();
-    if (seconds > 0.0) {
-      best = std::max(best, static_cast<double>(kOps) / seconds);
-    }
+  Stopwatch watch;
+  uint64_t x = 88172645463325252ull;
+  for (int64_t i = 0; i < kOps; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
   }
+  sink = sink + x;
+  const double seconds = watch.ElapsedSeconds();
+  return seconds > 0.0 ? static_cast<double>(kOps) / seconds : 0.0;
+}
+
+// Best of three calibration reps.
+inline double CalibrationScore() {
+  double best = 0.0;
+  for (int rep = 0; rep < 3; ++rep) best = std::max(best, CalibrationRep());
   return best;
+}
+
+// The q-quantile (0 <= q <= 1) of `values`, interpolating linearly between
+// order statistics. `values` must not be empty.
+inline double Quantile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  const double position = q * static_cast<double>(values.size() - 1);
+  const size_t lower = static_cast<size_t>(position);
+  const size_t upper = std::min(lower + 1, values.size() - 1);
+  const double fraction = position - static_cast<double>(lower);
+  return values[lower] + fraction * (values[upper] - values[lower]);
+}
+
+// Interquartile range of `values` relative to their median.
+inline double RelativeSpread(const std::vector<double>& values) {
+  const double median = Quantile(values, 0.5);
+  return median > 0.0
+             ? (Quantile(values, 0.75) - Quantile(values, 0.25)) / median
+             : 0.0;
 }
 
 class BenchReport {
@@ -228,6 +248,9 @@ class BenchReport {
                bool higher_is_better = false, bool gated = true) {
     metrics_.push_back({name, "wall", unit, higher_is_better, gated, value});
   }
+  // Replaces the construction-time calibration, e.g. with the median of
+  // reps interleaved with the timed work so it sees the same host drift.
+  void set_calibration(double ops_per_sec) { calibration_ = ops_per_sec; }
 
   std::string ToJson() const {
     const auto number = [](double v) {

@@ -115,12 +115,19 @@ int JsonMain(const std::string& path) {
                 static_cast<double>(
                     reference.counters.Get("mr.shuffle.records")));
 
-  for (const Config& config : configs) {
-    // Best of seven: the regression gate wants the build's capability;
-    // taking the fastest rep sheds transient load on shared runners.
-    JobWallTiming best;
-    best.total_seconds = -1.0;
-    for (int rep = 0; rep < 7; ++rep) {
+  // Seven reps with the configs interleaved inside each rep, plus one
+  // calibration rep per rep: a slow stretch of a shared host then costs
+  // every config (and the calibration) a rep, not one config its whole
+  // measurement. Each wall metric is the median of its reps, and
+  // spread_total_<config> (interquartile range over median) shows how far
+  // the reps scattered.
+  constexpr int kReps = 7;
+  std::vector<std::vector<JobWallTiming>> timings(configs.size());
+  std::vector<double> calibrations;
+  for (int rep = 0; rep < kReps; ++rep) {
+    calibrations.push_back(bench::CalibrationRep());
+    for (size_t i = 0; i < configs.size(); ++i) {
+      const Config& config = configs[i];
       const JsonJob::Result result =
           RunJsonWorkload(input, config.backend, config.threads);
       if (result.failed) {
@@ -134,26 +141,43 @@ int JsonMain(const std::string& path) {
                      config.label);
         return 1;
       }
-      if (best.total_seconds < 0.0 ||
-          result.timing.wall.total_seconds < best.total_seconds) {
-        best = result.timing.wall;
-      }
+      timings[i].push_back(result.timing.wall);
     }
+  }
+  report.set_calibration(bench::Quantile(calibrations, 0.5));
+  for (size_t i = 0; i < configs.size(); ++i) {
+    const Config& config = configs[i];
+    std::vector<double> map;
+    std::vector<double> reduce;
+    std::vector<double> total;
+    for (const JobWallTiming& wall : timings[i]) {
+      map.push_back(wall.map_seconds);
+      reduce.push_back(wall.reduce_seconds);
+      total.push_back(wall.total_seconds);
+    }
+    const double total_median = bench::Quantile(total, 0.5);
     const std::string label = config.label;
     // The serial backend's timings are reproducible enough to gate; the
     // threaded pool's depend on how many cores the host really has (an
     // oversubscribed 1-core runner swings them by tens of percent), so
     // they are recorded as ungated trend data.
     const bool gated = config.backend == ExecutionBackend::kSimulated;
-    report.AddWall("pairs_per_sec_" + label, "pairs/s",
-                   pairs / best.total_seconds, /*higher_is_better=*/true,
+    report.AddWall("pairs_per_sec_" + label, "pairs/s", pairs / total_median,
+                   /*higher_is_better=*/true, gated);
+    report.AddWall("wall_map_seconds_" + label, "wall_s",
+                   bench::Quantile(map, 0.5), /*higher_is_better=*/false,
                    gated);
-    report.AddWall("wall_map_seconds_" + label, "wall_s", best.map_seconds,
-                   /*higher_is_better=*/false, gated);
     report.AddWall("wall_reduce_seconds_" + label, "wall_s",
-                   best.reduce_seconds, /*higher_is_better=*/false, gated);
-    report.AddWall("wall_total_seconds_" + label, "wall_s",
-                   best.total_seconds, /*higher_is_better=*/false, gated);
+                   bench::Quantile(reduce, 0.5), /*higher_is_better=*/false,
+                   gated);
+    report.AddWall("wall_total_seconds_" + label, "wall_s", total_median,
+                   /*higher_is_better=*/false, gated);
+    report.AddWall("spread_total_" + label, "ratio",
+                   bench::RelativeSpread(total), /*higher_is_better=*/false,
+                   /*gated=*/false);
+    std::printf("%-4s total %.4f s (median of %d, spread %.1f%%)\n",
+                config.label, total_median, kReps,
+                100.0 * bench::RelativeSpread(total));
   }
 
   if (!report.WriteJson(path)) {

@@ -2,6 +2,7 @@
 #define PROGRES_BLOCKING_BLOCKING_FUNCTION_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "model/entity.h"
@@ -40,6 +41,20 @@ struct BlockId {
   }
 };
 
+// One entity's block paths in one family, built in a single pass: the
+// level-l path is the first ends[l-1] bytes of `path` (BlockingConfig::
+// BuildChain). Reusing one PathChain across entities reuses its buffers.
+struct PathChain {
+  std::string path;
+  std::vector<size_t> ends;
+
+  int levels() const { return static_cast<int>(ends.size()); }
+  std::string_view Level(int level) const {
+    return std::string_view(path).substr(
+        0, ends[static_cast<size_t>(level - 1)]);
+  }
+};
+
 // The full blocking configuration: the main blocking functions listed in
 // dominance order, i.e. families[0] is the most dominating function (the
 // paper's X^1 with Index(X^1) = 1).
@@ -60,6 +75,15 @@ class BlockingConfig {
   // Hierarchical path of `e`'s block in family `f` at `level`: keys of levels
   // 1..level joined with '\x1f'.
   std::string Path(int f, int level, const Entity& e) const;
+
+  // Fills `chain` with e's paths in family `f` at levels 1..`levels` (every
+  // level of the family when negative), lower-casing each key in place.
+  void BuildChain(int f, const Entity& e, PathChain* chain,
+                  int levels = -1) const;
+
+  // Path(f, level, e) == path, compared key by key in place.
+  bool PathEquals(int f, int level, const Entity& e,
+                  std::string_view path) const;
 
   // Index of the attribute that blocks of family `f` are sorted on.
   int SortAttribute(int f) const {

@@ -461,13 +461,20 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
     job.set_poison_faults(true);
 
     const auto map_fn = [&, this](const Entity& e, Job::MapContext* ctx) {
+      // e's block paths in every family, built once per entity into reused
+      // buffers; the level walk and the dominance lists read prefixes.
+      thread_local std::vector<PathChain> chains;
+      chains.resize(static_cast<size_t>(num_families));
+      for (int f = 0; f < num_families; ++f) {
+        blocking_.BuildChain(f, e, &chains[static_cast<size_t>(f)]);
+      }
       for (int f = 0; f < num_families; ++f) {
         const AnnotatedForest& forest = forests[static_cast<size_t>(f)];
-        const int levels = blocking_.family(f).levels();
+        const PathChain& chain = chains[static_cast<size_t>(f)];
         int previous_node = -1;
         int previous_tree = -1;
-        for (int level = 1; level <= levels; ++level) {
-          const int node = forest.Find(blocking_.Path(f, level, e));
+        for (int level = 1; level <= chain.levels(); ++level) {
+          const int node = forest.Find(chain.Level(level));
           if (node < 0) break;  // chain eliminated from here down
           if (node == previous_node) continue;  // equal-size collapse redirect
           previous_node = node;
@@ -484,7 +491,7 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
             value.id = e.id;
             if (redundancy) {
               value.list =
-                  BuildDominanceList(e, f, node, blocking_, forests, schedule);
+                  BuildDominanceList(e, f, node, chains, forests, schedule);
             }
             ctx->clock().Charge(kMapEmitCost);
             ctx->counters().Increment("map.emitted_pairs");
@@ -503,7 +510,7 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
             value.id = e.id;
             if (redundancy) {
               value.list =
-                  BuildDominanceList(e, f, node, blocking_, forests, schedule);
+                  BuildDominanceList(e, f, node, chains, forests, schedule);
             }
             for (const int64_t sq : it->second) {
               ctx->clock().Charge(kMapEmitCost);
@@ -518,7 +525,7 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
             value.id = e.id;
             if (redundancy) {
               value.list =
-                  BuildDominanceList(e, f, node, blocking_, forests, schedule);
+                  BuildDominanceList(e, f, node, chains, forests, schedule);
             }
             ctx->clock().Charge(kMapEmitCost);
             ctx->counters().Increment("map.emitted_pairs");
@@ -642,8 +649,8 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
         for (const ResolveValue& value : buffered->second) {
           ctx->clock().Charge(kRegroupCostPerEntity);
           const Entity& e = dataset.entity(value.id);
-          if (blocking_.Path(ref.family, block.id.level, e) !=
-              block.id.path) {
+          if (!blocking_.PathEquals(ref.family, block.id.level, e,
+                                    block.id.path)) {
             continue;
           }
           members.push_back(&e);

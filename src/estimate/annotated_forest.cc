@@ -1,11 +1,28 @@
 #include "estimate/annotated_forest.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 namespace progres {
 
 namespace {
+
 constexpr double kMinCost = 1e-9;
+
+// FNV-1a over the path bytes.
+uint64_t PathHash(std::string_view path) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (const char c : path) {
+    hash ^= static_cast<uint8_t>(c);
+    hash *= 0x00000100000001b3ull;
+  }
+  return hash;
+}
+
+size_t SlotOf(uint64_t hash, int bits) {
+  return static_cast<size_t>((hash * 0x9e3779b97f4a7c15ull) >> (64 - bits));
+}
+
 }  // namespace
 
 AnnotatedForest::AnnotatedForest(const Forest& forest,
@@ -15,8 +32,7 @@ AnnotatedForest::AnnotatedForest(const Forest& forest,
     : family_(forest.family),
       dataset_size_(dataset_size),
       params_(params),
-      prob_(&prob),
-      by_path_(forest.by_path) {
+      prob_(&prob) {
   blocks_.reserve(forest.nodes.size());
   for (const BlockNode& node : forest.nodes) {
     AnnotatedBlock b;
@@ -33,7 +49,31 @@ AnnotatedForest::AnnotatedForest(const Forest& forest,
   }
   EliminateSmallBlocks();
   CollapseEqualSizeChains();
+  BuildIndex(forest);
   for (int r : tree_roots_) ReestimateTree(r);
+}
+
+void AnnotatedForest::BuildIndex(const Forest& forest) {
+  // Resolve every path once, here: a path resolves when following the
+  // collapse redirects from its block reaches a surviving block.
+  std::vector<IndexSlot> entries;
+  for (const auto& [path, block] : forest.by_path) {
+    int n = block;
+    while (n >= 0 && blocks_[static_cast<size_t>(n)].eliminated) {
+      n = blocks_[static_cast<size_t>(n)].redirect;
+    }
+    if (n >= 0) entries.push_back({PathHash(path), block, n});
+  }
+  if (entries.empty()) return;
+  index_bits_ = 1;
+  while ((size_t{1} << index_bits_) < 2 * entries.size()) ++index_bits_;
+  index_.assign(size_t{1} << index_bits_, IndexSlot{});
+  const size_t mask = index_.size() - 1;
+  for (const IndexSlot& entry : entries) {
+    size_t i = SlotOf(entry.hash, index_bits_);
+    while (index_[i].block >= 0) i = (i + 1) & mask;
+    index_[i] = entry;
+  }
 }
 
 void AnnotatedForest::EliminateSmallBlocks() {
@@ -211,16 +251,18 @@ void AnnotatedForest::EstimateBlock(int n, double sum_child_frac_d,
   b.util = b.dup / b.cost;
 }
 
-int AnnotatedForest::Find(const std::string& path) const {
-  const auto it = by_path_.find(path);
-  if (it == by_path_.end()) return -1;
-  int n = it->second;
-  while (blocks_[static_cast<size_t>(n)].eliminated) {
-    const int redirect = blocks_[static_cast<size_t>(n)].redirect;
-    if (redirect < 0) return -1;
-    n = redirect;
+int AnnotatedForest::Find(std::string_view path) const {
+  if (index_.empty()) return -1;
+  const uint64_t hash = PathHash(path);
+  const size_t mask = index_.size() - 1;
+  for (size_t i = SlotOf(hash, index_bits_);; i = (i + 1) & mask) {
+    const IndexSlot& slot = index_[i];
+    if (slot.block < 0) return -1;
+    if (slot.hash == hash &&
+        blocks_[static_cast<size_t>(slot.block)].id.path == path) {
+      return slot.target;
+    }
   }
-  return n;
 }
 
 std::vector<AnnotatedForest> AnnotateForests(const std::vector<Forest>& forests,

@@ -1,8 +1,8 @@
 #ifndef PROGRES_ESTIMATE_ANNOTATED_FOREST_H_
 #define PROGRES_ESTIMATE_ANNOTATED_FOREST_H_
 
-#include <string>
-#include <unordered_map>
+#include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "blocking/forest.h"
@@ -108,14 +108,24 @@ class AnnotatedForest {
   void ReestimateTree(int root);
 
   // Node index for a block path, or -1. Eliminated blocks resolve to the
-  // surviving block that absorbed them (equal-size collapse) when possible.
-  int Find(const std::string& path) const;
+  // surviving block that absorbed them (equal-size collapse) when possible;
+  // a block with fewer than two entities never resolves.
+  int Find(std::string_view path) const;
 
   const EstimateParams& params() const { return params_; }
 
  private:
+  // One slot of the path index: the block whose stored path is the key,
+  // the 64-bit hash of that path, and the block the path resolves to.
+  struct IndexSlot {
+    uint64_t hash = 0;
+    int32_t block = -1;  // -1: empty slot
+    int32_t target = -1;
+  };
+
   void EliminateSmallBlocks();
   void CollapseEqualSizeChains();
+  void BuildIndex(const Forest& forest);
   void EstimateBlock(int n, double sum_child_frac_d, double sum_desc_dis,
                      double sum_desc_costp);
 
@@ -125,7 +135,13 @@ class AnnotatedForest {
   const ProbabilityModel* prob_ = nullptr;
   std::vector<AnnotatedBlock> blocks_;
   std::vector<int> tree_roots_;
-  std::unordered_map<std::string, int> by_path_;
+  // Open-addressed (linear probing, load <= 1/2) index of exactly the
+  // paths Find resolves — blocks of size >= 2, collapsed ones keeping their
+  // redirect target — verified against the block's stored path on a hash
+  // match. Slot of a hash: its top `index_bits_` bits after a Fibonacci
+  // multiply.
+  std::vector<IndexSlot> index_;
+  int index_bits_ = 0;
 };
 
 // Builds one AnnotatedForest per family from the statistics forests.

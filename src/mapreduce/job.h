@@ -494,7 +494,7 @@ class MapReduceJob {
     const auto gathered_total = [&](int t) -> int64_t {
       typename JobShuffle::GatherStats probe;
       return static_cast<int64_t>(
-          shuffle_.GatherSorted(map_outputs, t, &probe).size());
+          shuffle_.GatherSorted(map_outputs, t, &probe).records);
     };
     // Quarantines reduce task `t` under allow_degraded: the delivered
     // output becomes the latest checkpointed prefix (nothing without one),
@@ -1873,18 +1873,18 @@ class MapReduceJob {
       typename JobShuffle::GatherStats* gather_stats, ThreadedExecutor* wall,
       TraceRecorder* wall_trace) {
     const bool cut = attempt.fails || attempt.hangs;
-    std::vector<std::pair<K, V>> pairs =
+    typename JobShuffle::Gathered gathered =
         shuffle_.GatherSorted(map_outputs, attempt.task, gather_stats);
     const size_t limit =
         cut ? static_cast<size_t>(
-                  static_cast<double>(pairs.size()) *
+                  static_cast<double>(gathered.records) *
                   (attempt.fails ? attempt.fail_point : attempt.hang_point))
-            : pairs.size() + 1;
+            : gathered.records + 1;
 
     if (reduce_setup_) reduce_setup_(attempt.task);
     int64_t group_index = 0;
     JobShuffle::ForEachGroup(
-        &pairs, limit, [&](const K& key, std::vector<V>* values) {
+        &gathered, limit, [&](const K& key, std::vector<V>* values) {
           const int64_t group = group_index++;
           if (group < skip_groups) return;
           ctx->stats_.records_in += static_cast<int64_t>(values->size());

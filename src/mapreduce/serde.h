@@ -39,13 +39,19 @@ void PutString(std::string_view value, std::string* out);
 // (including lengths that would overflow the offset).
 bool GetString(std::string_view in, size_t* offset, std::string* value);
 
+// GetString without the copy: `*value` views the string's bytes in `in`.
+bool GetStringView(std::string_view in, size_t* offset,
+                   std::string_view* value);
+
 // Number of bytes PutVarint64 would append.
 int VarintSize(uint64_t value);
 
 // CRC-32 (IEEE, reflected polynomial 0xEDB88320 — the zlib/Hadoop checksum)
 // of `data`, continuing from `crc` so multi-buffer streams can chain calls.
-// Crc32("123456789") == 0xCBF43926. The shuffle checksums each map-output
-// partition with this before the "wire" transfer.
+// Crc32("123456789") == 0xCBF43926. Slicing-by-8: eight table lookups per
+// eight input bytes, with the words assembled byte by byte so the result
+// does not depend on the host's byte order. Every shuffled partition,
+// spill run and checkpoint frame is checksummed with it.
 uint32_t Crc32(std::string_view data, uint32_t crc = 0);
 
 // FNV-1a over `data`, continuing from `hash` for multi-buffer streams. The

@@ -18,6 +18,27 @@
 
 namespace progres {
 
+// How the shuffle reads a key in place to sort and merge encoded records:
+// a std::string key is compared as a view of its bytes inside the record;
+// every other key type is decoded (an integer decodes without allocating).
+// Either way the order is K's operator<, so sorting record views orders the
+// records exactly as sorting decoded pairs would.
+template <typename K>
+struct EncodedKey {
+  using View = K;
+  static bool Read(std::string_view in, size_t* offset, View* view) {
+    return KvCodec<K>::Decode(in, offset, view);
+  }
+};
+
+template <>
+struct EncodedKey<std::string> {
+  using View = std::string_view;
+  static bool Read(std::string_view in, size_t* offset, View* view) {
+    return GetStringView(in, offset, view);
+  }
+};
+
 // The shuffle of one MapReduce job as a first-class component: it owns the
 // partition function, the map-side KV block buffers (one chain per reduce
 // partition), the optional combiner, the spill-to-disk path that keeps a
@@ -25,16 +46,21 @@ namespace progres {
 // MapReduceJob composes a Shuffle with the task-attempt runner and the
 // timing model; tests can exercise the shuffle in isolation.
 //
-// Records are stored *encoded*: Emit serializes (key, value) through the
-// KvCodec for K and V (serde.h) into fixed-size blocks, replacing the old
-// per-partition std::vector<std::pair<K, V>>. When SpillConfig::enabled and
-// a map task's buffered bytes cross its budget share, every partition is
-// decoded, sorted (stably, by key), combined, re-encoded and appended to a
-// spill-run file (spill.h); GatherSorted then k-way merges the runs with
-// the sorted in-memory tail. The merge's tie-break — (map task, run order,
-// memory last) — reproduces exactly the stable_sort order of the all-in-
-// memory path, so outputs are byte-identical with spilling off or forced
-// on.
+// Records are stored *encoded* and stay encoded until the reduce call:
+// Emit serializes (key, value) through the KvCodec for K and V (serde.h)
+// into fixed-size blocks. Sorting reads the keys in place (EncodedKey
+// below) and moves small sort entries, never (key, value) pairs. When
+// SpillConfig::enabled and a map task's buffered bytes cross its budget
+// share, every partition's records are stably sorted by key and their
+// bytes copied, in that order, into a spill-run file (spill.h) —
+// byte-identical to decoding, stable-sorting and re-encoding, because the
+// encoding is canonical. (A value is decoded there only into one reused
+// slot, to find where its record ends; a combiner decodes one key group at
+// a time.) GatherSorted then k-way merges the runs with the sorted
+// in-memory tails on encoded keys and decodes each value once, moving it
+// into its key group. The merge's tie-break — (map task, run order, memory
+// last) — reproduces exactly the stable-sort order of the all-in-memory
+// path, so outputs are byte-identical with spilling off or forced on.
 //
 // The component also *accounts* for the data crossing it: MeasureVolume
 // reports the post-combine record count of a map task's output, and — when
@@ -78,6 +104,18 @@ class Shuffle {
     // budget exhausted — fails over here for the rest of the attempt
     // instead of failing the job. Empty means no fallback.
     std::string fallback_dir;
+  };
+
+  // One reduce partition gathered by GatherSorted: every distinct key in
+  // key order with its values in the reference order (map task, emission
+  // order). `records` counts the values across all groups.
+  struct Group {
+    K key;
+    std::vector<V> values;
+  };
+  struct Gathered {
+    std::vector<Group> groups;
+    size_t records = 0;
   };
 
   // Merge accounting of one GatherSorted call, reconciled against the
@@ -196,9 +234,7 @@ class Shuffle {
       KvCodec<V>::Encode(value, &scratch_);
       AppendEncoded(&bucket, scratch_);
       ++bucket.records;
-      bucket.wire_bytes += shuffle_->wire_size_
-                               ? shuffle_->wire_size_(key, value)
-                               : static_cast<int64_t>(scratch_.size());
+      bucket.wire_bytes += shuffle_->WireSize(key, value, scratch_);
       if (shuffle_->spill_.enabled && spill_error_.empty() &&
           mem_bytes_ >= shuffle_->spill_.task_buffer_bytes) {
         Spill();
@@ -244,51 +280,50 @@ class Shuffle {
     }
 
     // Sorts, combines and writes every partition's buffered records as one
-    // spill run, then resets the in-memory chains. On I/O failure the run
-    // is dropped, the buffers stay, and spill_error_ carries the label.
+    // spill run, then resets the in-memory chains. Without a combiner the
+    // sorted records' bytes are copied as they are and the volume is the
+    // bucket's running tally. On I/O failure the run is dropped, the
+    // buffers stay, and spill_error_ carries the label.
     void Spill() {
-      std::vector<std::string> payloads(
-          static_cast<size_t>(shuffle_->num_partitions_));
-      std::vector<int64_t> records(
-          static_cast<size_t>(shuffle_->num_partitions_), 0);
-      std::vector<typename Shuffle::Volume> volumes(
-          static_cast<size_t>(shuffle_->num_partitions_));
-      for (int r = 0; r < shuffle_->num_partitions_; ++r) {
-        Bucket& bucket = buckets_[static_cast<size_t>(r)];
-        std::vector<KV> pairs;
-        std::string error;
-        shuffle_->DecodeBucket(bucket, &pairs, &error);
-        if (!error.empty()) {
-          spill_error_ = error;
+      const size_t partitions = static_cast<size_t>(shuffle_->num_partitions_);
+      std::vector<std::string> payloads(partitions);
+      std::vector<int64_t> records(partitions, 0);
+      Volume volume;
+      RecordViews sorted;
+      for (size_t r = 0; r < partitions; ++r) {
+        const Bucket& bucket = buckets_[r];
+        if (!SortedViews(bucket, &sorted)) {
+          spill_error_ = kCorruptBlock;
           return;
         }
-        shuffle_->SortAndCombine(&pairs);
-        std::string& payload = payloads[static_cast<size_t>(r)];
-        for (const KV& kv : pairs) {
-          KvCodec<K>::Encode(kv.first, &payload);
-          KvCodec<V>::Encode(kv.second, &payload);
-          volumes[static_cast<size_t>(r)].bytes +=
-              shuffle_->wire_size_
-                  ? shuffle_->wire_size_(kv.first, kv.second)
-                  : 0;
+        std::string& payload = payloads[r];
+        if (!shuffle_->combiner_) {
+          payload.reserve(static_cast<size_t>(BucketBytes(bucket)));
+          for (const ViewEntry& entry : sorted.entries) {
+            payload.append(sorted.bytes[entry.index]);
+          }
+          records[r] = bucket.records;
+          volume.bytes += bucket.wire_bytes;
+        } else if (!shuffle_->CombineSorted(
+                       sorted, [&](std::string_view encoded, const K& key,
+                                   const V& value) {
+                         payload.append(encoded);
+                         ++records[r];
+                         volume.bytes += shuffle_->WireSize(key, value,
+                                                            encoded);
+                       })) {
+          spill_error_ = kCorruptBlock;
+          return;
         }
-        if (!shuffle_->wire_size_) {
-          volumes[static_cast<size_t>(r)].bytes =
-              static_cast<int64_t>(payload.size());
-        }
-        volumes[static_cast<size_t>(r)].records =
-            static_cast<int64_t>(pairs.size());
-        records[static_cast<size_t>(r)] = static_cast<int64_t>(pairs.size());
+        volume.records += records[r];
       }
       SpillRun run;
       if (!WriteRunWithFaults(payloads, records, &run)) return;
-      for (int r = 0; r < shuffle_->num_partitions_; ++r) {
-        spill_crc_[static_cast<size_t>(r)] =
-            Crc32(payloads[static_cast<size_t>(r)],
-                  spill_crc_[static_cast<size_t>(r)]);
-        spilled_volume_.records += volumes[static_cast<size_t>(r)].records;
-        spilled_volume_.bytes += volumes[static_cast<size_t>(r)].bytes;
+      for (size_t r = 0; r < partitions; ++r) {
+        spill_crc_[r] = Crc32(payloads[r], spill_crc_[r]);
       }
+      spilled_volume_.records += volume.records;
+      spilled_volume_.bytes += volume.bytes;
       runs_.push_back(std::move(run));
       buckets_.clear();
       buckets_.resize(static_cast<size_t>(shuffle_->num_partitions_));
@@ -415,28 +450,24 @@ class Shuffle {
   // output, re-encoded. No-op without a combiner.
   void Combine(MapOutput* out) const {
     if (!combiner_) return;
+    RecordViews sorted;
     for (auto& bucket : out->buckets_) {
-      std::vector<KV> pairs;
-      std::string error;
-      DecodeBucket(bucket, &pairs, &error);
-      if (!error.empty()) {
-        if (out->spill_error_.empty()) out->spill_error_ = error;
+      typename MapOutput::Bucket combined;
+      const bool ok =
+          SortedViews(bucket, &sorted) &&
+          CombineSorted(sorted, [&](std::string_view encoded, const K& key,
+                                    const V& value) {
+            out->AppendEncoded(&combined, encoded);
+            ++combined.records;
+            combined.wire_bytes += WireSize(key, value, encoded);
+          });
+      if (!ok) {
+        if (out->spill_error_.empty()) out->spill_error_ = kCorruptBlock;
+        out->mem_bytes_ -= BucketBytes(combined);
         return;
       }
-      SortAndCombine(&pairs);
       out->mem_bytes_ -= BucketBytes(bucket);
-      bucket = typename MapOutput::Bucket{};
-      std::string encoded;
-      for (const KV& kv : pairs) {
-        encoded.clear();
-        KvCodec<K>::Encode(kv.first, &encoded);
-        KvCodec<V>::Encode(kv.second, &encoded);
-        out->AppendEncoded(&bucket, encoded);
-        ++bucket.records;
-        bucket.wire_bytes += wire_size_
-                                 ? wire_size_(kv.first, kv.second)
-                                 : static_cast<int64_t>(encoded.size());
-      }
+      bucket = std::move(combined);
     }
   }
 
@@ -474,75 +505,72 @@ class Shuffle {
     return crc;
   }
 
-  // Reduce-side merge: partition `r` from every map output, sorted by key.
-  // Without spills this decodes the buffered blocks in map-task order and
-  // stable_sorts — the reference order, where equal keys keep (map task,
-  // emission order). With spills it k-way merges each task's runs (in run
-  // order, each already sorted and internally stable) with its sorted
-  // in-memory tail, tie-breaking on source order — which reproduces the
-  // reference order bit for bit, because a task's runs hold earlier
-  // emissions than its memory tail. Decoding never consumes the underlying
-  // blocks or files, so a failed attempt's retry simply gathers again —
-  // move-only payloads included (the old copying gather silently returned
-  // empty for those; the codec path has no copy to refuse).
-  std::vector<KV> GatherSorted(const std::vector<MapOutput*>& maps, int r,
-                               GatherStats* stats = nullptr) const {
+  // Reduce-side merge: partition `r` from every map output, grouped by key
+  // in key order. Without spills this sorts the buffered records of every
+  // map task, in map-task order, stably by key — the reference order, where
+  // equal keys keep (map task, emission order). With spills it k-way merges
+  // each task's runs (in run order, each already sorted and internally
+  // stable) with its sorted in-memory tail, comparing encoded keys and
+  // tie-breaking on source order — which reproduces the reference order bit
+  // for bit, because a task's runs hold earlier emissions than its memory
+  // tail. Each value is decoded once, into its group. Decoding never
+  // consumes the underlying blocks or files, so a failed attempt's retry
+  // simply gathers again — move-only payloads included.
+  Gathered GatherSorted(const std::vector<MapOutput*>& maps, int r,
+                        GatherStats* stats = nullptr) const {
     GatherStats local;
     GatherStats& gs = stats != nullptr ? *stats : local;
     gs = GatherStats{};
+    const size_t part = static_cast<size_t>(r);
     bool any_runs = false;
     for (const MapOutput* m : maps) {
       if (!m->runs_.empty()) any_runs = true;
     }
-    std::vector<KV> pairs;
+    Gathered out;
     if (!any_runs) {
       // Fast path: the all-in-memory reference merge.
+      std::vector<ValueEntry> decoded;
       size_t total = 0;
       for (const MapOutput* m : maps) {
-        total += static_cast<size_t>(
-            m->buckets_[static_cast<size_t>(r)].records);
+        total += static_cast<size_t>(m->buckets_[part].records);
       }
-      pairs.reserve(total);
+      decoded.reserve(total);
       for (const MapOutput* m : maps) {
-        DecodeBucket(m->buckets_[static_cast<size_t>(r)], &pairs, &gs.error);
-        if (!gs.error.empty()) return {};
+        if (!DecodeRecords(m->buckets_[part], &decoded)) {
+          gs.error = kCorruptBlock;
+          return {};
+        }
       }
-      std::stable_sort(pairs.begin(), pairs.end(),
-                       [](const KV& a, const KV& b) {
-                         return a.first < b.first;
-                       });
-      return pairs;
+      SortEntries(&decoded);
+      GroupSorted(&decoded, &out);
+      return out;
     }
 
     // External merge: one source per non-empty spill segment plus one per
     // task's in-memory tail, in (map task, run order, memory last) order.
     std::vector<std::unique_ptr<MergeSource>> sources;
-    size_t total = 0;
     for (const MapOutput* m : maps) {
       for (const SpillRun& run : m->runs_) {
-        const SpillSegment& segment = run.segments[static_cast<size_t>(r)];
+        const SpillSegment& segment = run.segments[part];
         if (segment.bytes == 0) continue;
         auto source = std::make_unique<MergeSource>();
         source->reader = std::make_unique<SpillSegmentReader>(
             run.path, segment,
             static_cast<size_t>(std::max<int64_t>(1, spill_.block_bytes)));
         sources.push_back(std::move(source));
-        total += static_cast<size_t>(segment.records);
         ++gs.runs_merged;
         gs.spilled_records += segment.records;
         gs.spilled_bytes += segment.bytes;
       }
-      const auto& bucket = m->buckets_[static_cast<size_t>(r)];
+      const auto& bucket = m->buckets_[part];
       if (bucket.records > 0) {
         auto source = std::make_unique<MergeSource>();
-        DecodeBucket(bucket, &source->mem, &gs.error);
-        if (!gs.error.empty()) return {};
-        std::stable_sort(source->mem.begin(), source->mem.end(),
-                         [](const KV& a, const KV& b) {
-                           return a.first < b.first;
-                         });
+        if (!DecodeRecords(bucket, &source->mem)) {
+          gs.error = kCorruptBlock;
+          return {};
+        }
+        SortEntries(&source->mem);
         sources.push_back(std::move(source));
-        total += static_cast<size_t>(bucket.records);
       }
     }
     for (size_t i = 0; i < sources.size(); ++i) {
@@ -554,8 +582,8 @@ class Shuffle {
     const auto after = [](const MergeSource* a, const MergeSource* b) {
       // True when `a` pops after `b`: larger key, or equal key from a later
       // source (the stability tie-break).
-      if (b->current.first < a->current.first) return true;
-      if (a->current.first < b->current.first) return false;
+      if (b->key < a->key) return true;
+      if (a->key < b->key) return false;
       return a->index > b->index;
     };
     std::priority_queue<MergeSource*, std::vector<MergeSource*>,
@@ -564,78 +592,98 @@ class Shuffle {
     for (const auto& source : sources) {
       if (source->has) heap.push(source.get());
     }
-    pairs.reserve(total);
     while (!heap.empty()) {
       MergeSource* source = heap.top();
       heap.pop();
-      pairs.push_back(std::move(source->current));
+      V* slot = NextValueSlot(source->key, &out);
+      if (source->reader != nullptr) {
+        *slot = std::move(source->value);
+        source->reader->Consume(source->size);
+      } else {
+        *slot = std::move(source->mem[source->mem_pos++].value);
+      }
       if (AdvanceSource(source, &gs.error)) {
         heap.push(source);
       } else if (!gs.error.empty()) {
         return {};
       }
     }
-    return pairs;
+    return out;
   }
 
-  // Invokes fn(key, &values) once per distinct key of the sorted `pairs`,
-  // in key order, moving values out. Groups whose first pair sits at or
-  // past `limit` are not visited — the injected-failure cutoff of a
+  // Invokes fn(key, &values) once per group of `gathered`, in key order.
+  // Groups whose first value sits at or past position `limit` of the
+  // partition's records are not visited — the injected-failure cutoff of a
   // failing reduce attempt.
   template <typename Fn>
-  static void ForEachGroup(std::vector<KV>* pairs, size_t limit, Fn&& fn) {
-    size_t i = 0;
-    while (i < pairs->size()) {
-      if (i >= limit) break;
-      size_t j = i;
-      while (j < pairs->size() &&
-             !((*pairs)[i].first < (*pairs)[j].first)) {
-        ++j;
-      }
-      std::vector<V> values;
-      values.reserve(j - i);
-      for (size_t k = i; k < j; ++k) {
-        values.push_back(std::move((*pairs)[k].second));
-      }
-      fn((*pairs)[i].first, &values);
-      i = j;
+  static void ForEachGroup(Gathered* gathered, size_t limit, Fn&& fn) {
+    size_t start = 0;
+    for (Group& group : gathered->groups) {
+      if (start >= limit) break;
+      start += group.values.size();
+      fn(group.key, &group.values);
     }
   }
 
  private:
+  using KeyView = typename EncodedKey<K>::View;
+  static constexpr const char* kCorruptBlock =
+      "corrupt in-memory shuffle block";
+
+  // Map-side sort entry of one buffered record: its key, read in place,
+  // and its position in emission order; the value stays encoded.
+  struct ViewEntry {
+    KeyView key{};
+    size_t index = 0;
+  };
+
+  // A partition's records for a map-side sort: their encoded bytes in
+  // emission order, and sort entries.
+  struct RecordViews {
+    std::vector<std::string_view> bytes;
+    std::vector<ViewEntry> entries;
+  };
+
+  // Reduce-side sort entry: the key, read in place, and the value, decoded
+  // in emission order (a sequential pass over the blocks) and moved out
+  // into its group after the sort.
+  struct ValueEntry {
+    KeyView key{};
+    V value{};
+  };
+
   // One sorted stream feeding the k-way merge: a spill segment (buffered
-  // file reads) or a task's decoded in-memory tail.
+  // file reads) or a task's sorted in-memory tail. `key` is the current
+  // record's; a spill source has also decoded its value (the only way to
+  // find where the record ends) and views the reader's window, which stays
+  // put until the record is consumed.
   struct MergeSource {
     std::unique_ptr<SpillSegmentReader> reader;
-    std::vector<KV> mem;
+    std::vector<ValueEntry> mem;
     size_t mem_pos = 0;
     size_t index = 0;
-    KV current;
+    KeyView key{};
+    V value{};
+    size_t size = 0;
     bool has = false;
   };
 
-  // Pulls the next record into source->current. False at end of stream or
-  // on error (`*error` then labels the corrupt/unreadable spill).
+  // Reads the next record's key (and, from a spill, its value) into
+  // `source`. False at end of stream or on error (`*error` then labels the
+  // corrupt/unreadable spill).
   static bool AdvanceSource(MergeSource* source, std::string* error) {
     if (source->reader == nullptr) {
-      if (source->mem_pos >= source->mem.size()) {
-        source->has = false;
-        return false;
-      }
-      source->current = std::move(source->mem[source->mem_pos++]);
-      source->has = true;
-      return true;
+      source->has = source->mem_pos < source->mem.size();
+      if (source->has) source->key = source->mem[source->mem_pos].key;
+      return source->has;
     }
     SpillSegmentReader& reader = *source->reader;
     for (;;) {
       const std::string_view window = reader.window();
       size_t offset = 0;
-      K key;
-      V value;
-      if (KvCodec<K>::Decode(window, &offset, &key) &&
-          KvCodec<V>::Decode(window, &offset, &value)) {
-        reader.Consume(offset);
-        source->current = KV(std::move(key), std::move(value));
+      if (EncodedKey<K>::Read(window, &offset, &source->key) &&
+          KvCodec<V>::Decode(window, &offset, &source->value)) {
+        source->size = offset;
         source->has = true;
         return true;
       }
@@ -654,52 +702,149 @@ class Shuffle {
     }
   }
 
-  // Decodes every record of a bucket's block chain, appending to `*pairs`.
-  // Blocks end at record boundaries, so a failed decode is a logic error
-  // surfaced through `*error` rather than silently dropped data.
-  void DecodeBucket(const typename MapOutput::Bucket& bucket,
-                    std::vector<KV>* pairs, std::string* error) const {
-    pairs->reserve(pairs->size() + static_cast<size_t>(bucket.records));
+  // Walks a bucket's block chain in emission order: reads each record's key
+  // in place, decodes its value into *slot(key) — which is also how the
+  // record's end is found — and passes the record's bytes to done(bytes).
+  // Blocks end at record boundaries, so a record that fails to decode is a
+  // logic error reported as false rather than dropped data.
+  template <typename Slot, typename Done>
+  static bool ScanRecords(const typename MapOutput::Bucket& bucket,
+                          Slot&& slot, Done&& done) {
     for (const std::string& block : bucket.blocks) {
-      const std::string_view view(block);
+      const std::string_view bytes(block);
       size_t offset = 0;
-      while (offset < view.size()) {
-        K key;
-        V value;
-        if (!KvCodec<K>::Decode(view, &offset, &key) ||
-            !KvCodec<V>::Decode(view, &offset, &value)) {
-          *error = "corrupt in-memory shuffle block";
-          return;
+      while (offset < bytes.size()) {
+        const size_t begin = offset;
+        KeyView key{};
+        if (!EncodedKey<K>::Read(bytes, &offset, &key) ||
+            !KvCodec<V>::Decode(bytes, &offset, slot(key))) {
+          return false;
         }
-        pairs->emplace_back(std::move(key), std::move(value));
+        done(bytes.substr(begin, offset - begin));
       }
+    }
+    return true;
+  }
+
+  template <typename Entry>
+  static void SortEntries(std::vector<Entry>* entries) {
+    std::stable_sort(entries->begin(), entries->end(),
+                     [](const Entry& a, const Entry& b) {
+                       return a.key < b.key;
+                     });
+  }
+
+  // Replaces `*views` with the bucket's records, entries sorted. Values
+  // are decoded only to find where each record ends, into one reused slot.
+  static bool SortedViews(const typename MapOutput::Bucket& bucket,
+                          RecordViews* views) {
+    views->bytes.clear();
+    views->entries.clear();
+    views->bytes.reserve(static_cast<size_t>(bucket.records));
+    views->entries.reserve(static_cast<size_t>(bucket.records));
+    V scratch{};
+    if (!ScanRecords(
+            bucket,
+            [&](const KeyView& key) {
+              views->entries.push_back({key, views->bytes.size()});
+              return &scratch;
+            },
+            [&](std::string_view record) { views->bytes.push_back(record); })) {
+      return false;
+    }
+    SortEntries(&views->entries);
+    return true;
+  }
+
+  // Appends the bucket's records to `*entries`, unsorted.
+  static bool DecodeRecords(const typename MapOutput::Bucket& bucket,
+                            std::vector<ValueEntry>* entries) {
+    entries->reserve(entries->size() + static_cast<size_t>(bucket.records));
+    return ScanRecords(
+        bucket,
+        [&](const KeyView& key) {
+          ValueEntry& entry = entries->emplace_back();
+          entry.key = key;
+          return &entry.value;
+        },
+        [](std::string_view) {});
+  }
+
+  // The value slot of the next record of a gather, whose key is `key`:
+  // appended to the last group when the key equals its key, else to a new
+  // group.
+  static V* NextValueSlot(const KeyView& key, Gathered* out) {
+    if (out->groups.empty() || out->groups.back().key < key ||
+        key < out->groups.back().key) {
+      out->groups.push_back(Group{K(key), {}});
+    }
+    ++out->records;
+    return &out->groups.back().values.emplace_back();
+  }
+
+  // Groups sorted entries by key, moving each value into its group (sized
+  // up front: the group's extent is known after the sort).
+  static void GroupSorted(std::vector<ValueEntry>* entries, Gathered* out) {
+    out->records = entries->size();
+    for (size_t i = 0; i < entries->size();) {
+      size_t j = i + 1;
+      while (j < entries->size() && !((*entries)[i].key < (*entries)[j].key)) {
+        ++j;
+      }
+      Group& group = out->groups.emplace_back();
+      group.key = K((*entries)[i].key);
+      group.values.resize(j - i);
+      for (size_t k = i; k < j; ++k) {
+        group.values[k - i] = std::move((*entries)[k].value);
+      }
+      i = j;
     }
   }
 
-  // Stable sort by key, then local aggregation through the combiner (when
-  // set) — shared by Combine and the spill writer.
-  void SortAndCombine(std::vector<KV>* pairs) const {
-    std::stable_sort(pairs->begin(), pairs->end(),
-                     [](const KV& a, const KV& b) {
-                       return a.first < b.first;
-                     });
-    if (!combiner_) return;
+  // Runs the combiner over sorted records, one call per key group with the
+  // group's decoded values, and hands each output pair to sink(encoded
+  // bytes, key, value) in output order. False on a record that fails to
+  // decode.
+  template <typename Sink>
+  bool CombineSorted(const RecordViews& sorted, Sink&& sink) const {
+    const std::vector<ViewEntry>& entries = sorted.entries;
+    std::vector<V> values;
     std::vector<KV> combined;
-    size_t i = 0;
-    while (i < pairs->size()) {
-      size_t j = i;
-      while (j < pairs->size() && !((*pairs)[i].first < (*pairs)[j].first)) {
-        ++j;
-      }
-      std::vector<V> values;
-      values.reserve(j - i);
+    std::string encoded;
+    for (size_t i = 0; i < entries.size();) {
+      size_t j = i + 1;
+      while (j < entries.size() && !(entries[i].key < entries[j].key)) ++j;
+      values.clear();
+      values.resize(j - i);
       for (size_t k = i; k < j; ++k) {
-        values.push_back(std::move((*pairs)[k].second));
+        const std::string_view record = sorted.bytes[entries[k].index];
+        size_t offset = 0;
+        KeyView key{};
+        if (!EncodedKey<K>::Read(record, &offset, &key) ||
+            !KvCodec<V>::Decode(record, &offset, &values[k - i]) ||
+            offset != record.size()) {
+          return false;
+        }
       }
-      combiner_((*pairs)[i].first, &values, &combined);
+      combined.clear();
+      combiner_(K(entries[i].key), &values, &combined);
+      for (const KV& kv : combined) {
+        encoded.clear();
+        KvCodec<K>::Encode(kv.first, &encoded);
+        KvCodec<V>::Encode(kv.second, &encoded);
+        sink(std::string_view(encoded), kv.first, kv.second);
+      }
       i = j;
     }
-    *pairs = std::move(combined);
+    return true;
+  }
+
+  // Shuffle-volume bytes of one (key, value) pair whose encoding is
+  // `encoded`: the wire-size function when set, else the encoded size.
+  int64_t WireSize(const K& key, const V& value,
+                   std::string_view encoded) const {
+    return wire_size_ ? wire_size_(key, value)
+                      : static_cast<int64_t>(encoded.size());
   }
 
   static int64_t BucketBytes(const typename MapOutput::Bucket& bucket) {

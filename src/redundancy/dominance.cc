@@ -6,8 +6,19 @@ DominanceList BuildDominanceList(const Entity& e, int family, int node,
                                  const BlockingConfig& config,
                                  const std::vector<AnnotatedForest>& forests,
                                  const ProgressiveSchedule& schedule) {
+  std::vector<PathChain> chains(static_cast<size_t>(config.num_families()));
+  for (int f = 0; f < config.num_families(); ++f) {
+    config.BuildChain(f, e, &chains[static_cast<size_t>(f)]);
+  }
+  return BuildDominanceList(e, family, node, chains, forests, schedule);
+}
+
+DominanceList BuildDominanceList(const Entity& e, int family, int node,
+                                 const std::vector<PathChain>& chains,
+                                 const std::vector<AnnotatedForest>& forests,
+                                 const ProgressiveSchedule& schedule) {
   DominanceList list;
-  const int n = config.num_families();
+  const int n = static_cast<int>(chains.size());
   list.values.reserve(static_cast<size_t>(n) + 1);
 
   for (int j = 0; j < n; ++j) {
@@ -18,8 +29,8 @@ DominanceList BuildDominanceList(const Entity& e, int family, int node,
       list.values.push_back(schedule.dominance.at(BlockRefKey(j, root)));
     } else {
       // Dom(T(Y^1_h)) for the main block of family j containing e.
-      const std::string path = config.Path(j, 1, e);
-      const int main_node = forests[static_cast<size_t>(j)].Find(path);
+      const int main_node = forests[static_cast<size_t>(j)].Find(
+          chains[static_cast<size_t>(j)].Level(1));
       if (main_node < 0) {
         // The main block was eliminated (fewer than two entities): no other
         // entity shares it, so a unique per-entity sentinel is safe.
@@ -38,10 +49,9 @@ DominanceList BuildDominanceList(const Entity& e, int family, int node,
   // emitted block.
   const AnnotatedForest& forest = forests[static_cast<size_t>(family)];
   const int block_level = forest.block(node).id.level;
-  const int levels = config.family(family).levels();
-  for (int level = block_level + 1; level <= levels; ++level) {
-    const int descendant =
-        forest.Find(config.Path(family, level, e));
+  const PathChain& chain = chains[static_cast<size_t>(family)];
+  for (int level = block_level + 1; level <= chain.levels(); ++level) {
+    const int descendant = forest.Find(chain.Level(level));
     if (descendant < 0) break;  // e's chain ends here (eliminated below)
     if (descendant == node) continue;  // redirect landed on the block itself
     if (forest.block(descendant).tree_root) {

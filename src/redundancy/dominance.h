@@ -29,6 +29,14 @@ DominanceList BuildDominanceList(const Entity& e, int family, int node,
                                  const std::vector<AnnotatedForest>& forests,
                                  const ProgressiveSchedule& schedule);
 
+// The same list from e's paths already built in every family (`chains[f]`
+// from BlockingConfig::BuildChain over all of f's levels): the resolution
+// map builds them once per entity and reuses them for every emission.
+DominanceList BuildDominanceList(const Entity& e, int family, int node,
+                                 const std::vector<PathChain>& chains,
+                                 const std::vector<AnnotatedForest>& forests,
+                                 const ProgressiveSchedule& schedule);
+
 // SHOULD-RESOLVE (Fig. 7): true if the block of family index `index`
 // (1-based, i.e. Index(X^1)) is responsible for resolving the pair whose
 // dominance lists are `a` and `b`. `n` is the number of main blocking

@@ -1,8 +1,11 @@
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "blocking/forest.h"
+#include "common/random.h"
 #include "datagen/generators.h"
 #include "estimate/annotated_forest.h"
 #include "estimate/prob_model.h"
@@ -226,6 +229,73 @@ TEST(AnnotatedForestTest, DupOnPairsOptionChangesDValue) {
     }
   }
   EXPECT_TRUE(found_difference);
+}
+
+// The lookup Find replaces: the statistics forest's path map, then the
+// equal-size-collapse redirects of the annotated blocks.
+int ReferenceFind(const Forest& forest, const AnnotatedForest& annotated,
+                  const std::string& path) {
+  const auto it = forest.by_path.find(path);
+  if (it == forest.by_path.end()) return -1;
+  int n = it->second;
+  while (annotated.block(n).eliminated) {
+    n = annotated.block(n).redirect;
+    if (n < 0) return -1;
+  }
+  return n;
+}
+
+TEST(AnnotatedForestTest, FindMatchesPathMapWithRedirects) {
+  Fixture fx;
+  const std::vector<AnnotatedForest> annotated = fx.Annotate();
+  Rng rng(77);
+  int64_t singletons = 0;
+  int64_t collapsed = 0;
+  int64_t checked = 0;
+  const auto check = [&](const Forest& forest, const AnnotatedForest& a,
+                         const std::string& path) {
+    ASSERT_EQ(a.Find(path), ReferenceFind(forest, a, path))
+        << "family " << a.family() << ", path \"" << path << "\"";
+    ++checked;
+  };
+  for (size_t f = 0; f < annotated.size(); ++f) {
+    const Forest& forest = fx.forests[f];
+    const AnnotatedForest& a = annotated[f];
+    // Every block path: singletons (never resolve), collapsed parents
+    // (resolve through their redirect chain) and survivors — plus near
+    // misses one byte off each.
+    for (const auto& [path, node] : forest.by_path) {
+      if (a.block(node).size < 2) ++singletons;
+      if (a.block(node).redirect >= 0) ++collapsed;
+      check(forest, a, path);
+      check(forest, a, path + "x");
+      if (!path.empty()) {
+        check(forest, a, path.substr(0, path.size() - 1));
+        std::string flipped = path;
+        flipped.back() = static_cast<char>(flipped.back() ^ 1);
+        check(forest, a, flipped);
+      }
+    }
+    // Every entity's chain prefixes, as the resolution map looks them up.
+    const int levels = fx.config.family(static_cast<int>(f)).levels();
+    for (const Entity& e : fx.data.dataset.entities()) {
+      for (int level = 1; level <= levels; ++level) {
+        check(forest, a, fx.config.Path(static_cast<int>(f), level, e));
+      }
+    }
+    // Random paths, almost all absent.
+    for (int i = 0; i < 2000; ++i) {
+      std::string path(rng.UniformU64(12), 'a');
+      for (char& c : path) {
+        c = rng.Bernoulli(0.1) ? kPathSeparator
+                               : static_cast<char>('a' + rng.UniformU64(26));
+      }
+      check(forest, a, path);
+    }
+  }
+  EXPECT_GT(singletons, 0);
+  EXPECT_GT(collapsed, 0);
+  EXPECT_GT(checked, 0);
 }
 
 }  // namespace

@@ -1,3 +1,6 @@
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "blocking/blocking_function.h"
@@ -38,6 +41,52 @@ TEST(BlockingFunctionTest, PathJoinsLevels) {
   const std::string expected =
       std::string("jo") + kPathSeparator + "john";
   EXPECT_EQ(config.Path(0, 2, e), expected);
+}
+
+// BuildChain and PathEquals against the path joined from Key, the
+// per-level definition: mixed case, values shorter than a prefix, empty
+// and missing attributes (whose paths are runs of separators).
+TEST(BlockingFunctionTest, ChainAndPathEqualsMatchJoinedKeys) {
+  const BlockingConfig config({{"X", 0, {2, 4, 8}, -1}, {"Y", 1, {3, 5}, -1}});
+  const std::vector<Entity> entities = {
+      MakeEntity(0, {"John Lopez", "CA"}), MakeEntity(1, {"", "Texas"}),
+      MakeEntity(2, {"AbCdEfGhIj", ""}), MakeEntity(3, {"jo"}),
+      MakeEntity(4, {"JOHN", "ca"})};
+  const auto joined = [&](int f, int level, const Entity& e) {
+    std::string path;
+    for (int l = 1; l <= level; ++l) {
+      if (l > 1) path.push_back(kPathSeparator);
+      path += config.Key(f, l, e);
+    }
+    return path;
+  };
+  PathChain chain;
+  for (int f = 0; f < config.num_families(); ++f) {
+    const int levels = config.family(f).levels();
+    for (const Entity& e : entities) {
+      config.BuildChain(f, e, &chain);
+      ASSERT_EQ(chain.levels(), levels);
+      for (int level = 1; level <= levels; ++level) {
+        const std::string path = joined(f, level, e);
+        EXPECT_EQ(chain.Level(level), path);
+        EXPECT_EQ(config.Path(f, level, e), path);
+        EXPECT_TRUE(config.PathEquals(f, level, e, path));
+        EXPECT_FALSE(config.PathEquals(f, level, e, path + "x"));
+        EXPECT_FALSE(config.PathEquals(f, level, e, path + kPathSeparator));
+        if (!path.empty()) {
+          EXPECT_FALSE(config.PathEquals(f, level, e,
+                                         path.substr(0, path.size() - 1)));
+        }
+        for (const Entity& other : entities) {
+          const std::string other_path = joined(f, level, other);
+          EXPECT_EQ(config.PathEquals(f, level, e, other_path),
+                    other_path == path)
+              << "entity " << e.id << " vs " << other.id << ", family " << f
+              << ", level " << level;
+        }
+      }
+    }
+  }
 }
 
 TEST(BlockingFunctionTest, SortAttributeDefaultsToBlockingAttribute) {

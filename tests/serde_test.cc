@@ -1,6 +1,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -292,6 +293,41 @@ TEST(Crc32Test, ChainingMatchesOneShot) {
     const uint32_t chained =
         Crc32(data.substr(cut), Crc32(data.substr(0, cut)));
     EXPECT_EQ(chained, whole) << "cut at " << cut;
+  }
+}
+
+// CRC-32 by its definition, one bit at a time: the reference the
+// table-driven Crc32 must equal.
+uint32_t BitwiseCrc32(std::string_view data, uint32_t crc) {
+  uint32_t c = ~crc;
+  for (const char ch : data) {
+    c ^= static_cast<uint8_t>(ch);
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceOnRandomBuffers) {
+  Rng rng(162);
+  // Slices of one backing buffer starting at every offset mod 8, so the
+  // eight-byte loop sees unaligned starts and every tail length.
+  std::string backing(8 + 300, '\0');
+  for (int i = 0; i < 20000; ++i) {
+    const size_t start = static_cast<size_t>(rng.UniformU64(8));
+    const size_t len = static_cast<size_t>(rng.UniformU64(301));
+    for (size_t k = start; k < start + len; ++k) {
+      backing[k] = static_cast<char>(rng.NextU64());
+    }
+    const std::string_view data(backing.data() + start, len);
+    const uint32_t seed =
+        i % 4 == 0 ? 0u : static_cast<uint32_t>(rng.NextU64());
+    const uint32_t expected = BitwiseCrc32(data, seed);
+    ASSERT_EQ(Crc32(data, seed), expected)
+        << "case " << i << ": start " << start << ", length " << len;
+    const size_t cut = static_cast<size_t>(rng.UniformU64(len + 1));
+    ASSERT_EQ(Crc32(data.substr(cut), Crc32(data.substr(0, cut), seed)),
+              expected)
+        << "case " << i << ": chained at " << cut << " of " << len;
   }
 }
 

@@ -6,10 +6,13 @@
 // run files must be cleaned up; and an unusable budget must fail the job
 // with a labelled error instead of wedging it.
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,7 +22,10 @@
 #include "mapreduce/cluster.h"
 #include "mapreduce/executor.h"
 #include "mapreduce/job.h"
+#include "common/random.h"
 #include "mapreduce/serde.h"
+#include "mapreduce/shuffle.h"
+#include "mapreduce/spill.h"
 #include "mapreduce/trace.h"
 #include "mr_test_util.h"
 
@@ -306,6 +312,172 @@ TEST(SpillTest, GenerousBudgetNeverSpills) {
   ASSERT_FALSE(result.failed) << result.error;
   EXPECT_EQ(result.counters.Get("mr.spill.runs"), 0);
   EXPECT_EQ(result.counters.Get("mr.spill.merge_passes"), 0);
+}
+
+// ------------------------------------- encoded records vs the reference
+
+// The reference data plane that spilling and merging on encoded records
+// must reproduce byte for byte: pairs decoded, stably sorted by key and
+// encoded again.
+template <typename K, typename V>
+std::string EncodeStableSorted(std::vector<std::pair<K, V>> pairs) {
+  std::stable_sort(pairs.begin(), pairs.end(),
+                   [](const std::pair<K, V>& a, const std::pair<K, V>& b) {
+                     return a.first < b.first;
+                   });
+  std::string out;
+  for (const auto& [key, value] : pairs) {
+    KvCodec<K>::Encode(key, &out);
+    KvCodec<V>::Encode(value, &out);
+  }
+  return out;
+}
+
+std::string ReadWholeFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+// Feeds `inputs` (one pair list per map task) through a Shuffle with the
+// default partitioner, spilling whenever a task's buffered bytes reach
+// `budget` (never when `budget` is 0), with 64-byte blocks so merged
+// records straddle read chunks. Every run file must equal the reference
+// encoding of the records it took, partition after partition, and every
+// gathered partition must equal the reference over all tasks' records in
+// (map task, emission) order.
+template <typename K, typename V>
+void ExpectMatchesDecodeSortEncode(
+    const std::vector<std::vector<std::pair<K, V>>>& inputs, int partitions,
+    int64_t budget) {
+  using TestShuffle = Shuffle<K, V>;
+  TestShuffle shuffle(partitions);
+  typename TestShuffle::SpillConfig spill;
+  spill.enabled = budget > 0;
+  spill.task_buffer_bytes = budget;
+  spill.block_bytes = 64;
+  std::string error;
+  spill.dir = ResolveSpillDir("", &error);
+  ASSERT_FALSE(spill.dir.empty()) << error;
+  shuffle.set_spill(spill);
+
+  const auto partition_of = [&](const K& key) {
+    std::string encoded;
+    KvCodec<K>::Encode(key, &encoded);
+    return static_cast<size_t>(Fnv1a64(encoded) %
+                               static_cast<uint64_t>(partitions));
+  };
+  std::vector<std::vector<std::pair<K, V>>> all(
+      static_cast<size_t>(partitions));
+  std::vector<std::unique_ptr<typename TestShuffle::MapOutput>> outputs;
+  for (size_t task = 0; task < inputs.size(); ++task) {
+    auto out = std::make_unique<typename TestShuffle::MapOutput>();
+    out->Reset(shuffle, static_cast<int>(task));
+    std::vector<std::vector<std::pair<K, V>>> pending(
+        static_cast<size_t>(partitions));
+    std::vector<std::string> expected_runs;
+    int64_t buffered = 0;
+    for (const auto& [key, value] : inputs[task]) {
+      out->Add(key, value);
+      const size_t r = partition_of(key);
+      pending[r].emplace_back(key, value);
+      all[r].emplace_back(key, value);
+      std::string encoded;
+      KvCodec<K>::Encode(key, &encoded);
+      KvCodec<V>::Encode(value, &encoded);
+      buffered += static_cast<int64_t>(encoded.size());
+      if (spill.enabled && buffered >= budget) {
+        std::string run;
+        for (auto& records : pending) {
+          run += EncodeStableSorted(records);
+          records.clear();
+        }
+        expected_runs.push_back(std::move(run));
+        buffered = 0;
+      }
+    }
+    ASSERT_TRUE(out->spill_error().empty()) << out->spill_error();
+    ASSERT_EQ(out->spill_runs().size(), expected_runs.size());
+    for (size_t i = 0; i < expected_runs.size(); ++i) {
+      EXPECT_EQ(ReadWholeFile(out->spill_runs()[i].path), expected_runs[i])
+          << "map task " << task << ", run " << i;
+    }
+    outputs.push_back(std::move(out));
+  }
+
+  std::vector<typename TestShuffle::MapOutput*> maps;
+  for (auto& out : outputs) maps.push_back(out.get());
+  for (int r = 0; r < partitions; ++r) {
+    typename TestShuffle::GatherStats stats;
+    const typename TestShuffle::Gathered gathered =
+        shuffle.GatherSorted(maps, r, &stats);
+    ASSERT_TRUE(stats.error.empty()) << stats.error;
+    std::string actual;
+    size_t records = 0;
+    for (size_t g = 0; g < gathered.groups.size(); ++g) {
+      const auto& group = gathered.groups[g];
+      ASSERT_FALSE(group.values.empty());
+      if (g > 0) {
+        EXPECT_LT(gathered.groups[g - 1].key, group.key);
+      }
+      for (const V& value : group.values) {
+        KvCodec<K>::Encode(group.key, &actual);
+        KvCodec<V>::Encode(value, &actual);
+        ++records;
+      }
+    }
+    EXPECT_EQ(records, gathered.records);
+    EXPECT_EQ(records, all[static_cast<size_t>(r)].size());
+    EXPECT_EQ(actual, EncodeStableSorted(all[static_cast<size_t>(r)]))
+        << "partition " << r;
+  }
+}
+
+// Three map tasks of many records over few distinct keys, so equal keys
+// meet inside a run, across runs and across tasks.
+std::vector<std::vector<std::pair<std::string, int64_t>>> StringKeyedInputs() {
+  Rng rng(2024);
+  std::vector<std::vector<std::pair<std::string, int64_t>>> inputs(3);
+  for (auto& task : inputs) {
+    for (int i = 0; i < 1500; ++i) {
+      std::string key = "k";
+      key += std::to_string(rng.UniformU64(12));
+      if (rng.Bernoulli(0.2)) key += std::string(rng.UniformU64(40), 'x');
+      task.emplace_back(std::move(key), rng.UniformInt(-1000000, 1000000));
+    }
+  }
+  return inputs;
+}
+
+std::vector<std::vector<std::pair<int64_t, std::string>>> IntKeyedInputs() {
+  Rng rng(2025);
+  std::vector<std::vector<std::pair<int64_t, std::string>>> inputs(3);
+  for (auto& task : inputs) {
+    for (int i = 0; i < 1500; ++i) {
+      // Negative keys take the 10-byte varint form.
+      const int64_t key = rng.UniformInt(-5, 9);
+      std::string value(rng.UniformU64(20), 'a');
+      for (char& c : value) c = static_cast<char>('a' + rng.UniformU64(26));
+      task.emplace_back(key, std::move(value));
+    }
+  }
+  return inputs;
+}
+
+TEST(SpillTest, StringKeyedRunsAndMergeMatchDecodeSortEncode) {
+  ExpectMatchesDecodeSortEncode(StringKeyedInputs(), 3, /*budget=*/1500);
+}
+
+TEST(SpillTest, StringKeyedInMemoryGatherMatchesDecodeSortEncode) {
+  ExpectMatchesDecodeSortEncode(StringKeyedInputs(), 3, /*budget=*/0);
+}
+
+TEST(SpillTest, IntKeyedRunsAndMergeMatchDecodeSortEncode) {
+  ExpectMatchesDecodeSortEncode(IntKeyedInputs(), 4, /*budget=*/1200);
+}
+
+TEST(SpillTest, IntKeyedInMemoryGatherMatchesDecodeSortEncode) {
+  ExpectMatchesDecodeSortEncode(IntKeyedInputs(), 4, /*budget=*/0);
 }
 
 }  // namespace
