@@ -4,10 +4,10 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "core/er_driver.h"
@@ -15,6 +15,7 @@
 #include "mapreduce/job.h"
 #include "mapreduce/pipeline.h"
 #include "mapreduce/serde.h"
+#include "model/pair_set.h"
 #include "redundancy/dominance.h"
 
 namespace progres {
@@ -45,6 +46,70 @@ int64_t WireSize(int64_t sq, const ResolveValue& value) {
   return bytes;
 }
 
+// Block-local entity id -> dominance list lookup for the responsibility
+// predicate: open addressing over one block's members (linear probing, at
+// most half full). Each block rebuilds it in arrays kept across the task's
+// blocks, so a build costs O(block) — never O(dataset) — and allocates only
+// when a block outgrows every earlier one.
+class DominanceIndex {
+ public:
+  // Indexes `lists[i]` under `members[i]->id`; a repeated id keeps its
+  // first list.
+  void Build(const std::vector<const Entity*>& members,
+             const std::vector<const DominanceList*>& lists) {
+    size_t capacity = 16;
+    shift_ = 60;
+    while (capacity < 2 * members.size()) {
+      capacity *= 2;
+      --shift_;
+    }
+    if (ids_.size() < capacity) {
+      ids_.resize(capacity);
+      lists_.resize(capacity);
+    }
+    mask_ = capacity - 1;
+    std::fill_n(ids_.begin(), capacity, kEmpty);
+    for (size_t i = 0; i < members.size(); ++i) {
+      const EntityId id = members[i]->id;
+      size_t slot = Home(id);
+      while (ids_[slot] != kEmpty && ids_[slot] != id) {
+        slot = (slot + 1) & mask_;
+      }
+      if (ids_[slot] == kEmpty) {
+        ids_[slot] = id;
+        lists_[slot] = lists[i];
+      }
+    }
+  }
+
+  // The list of block member `id`.
+  const DominanceList& at(EntityId id) const {
+    size_t slot = Home(id);
+    while (ids_[slot] != id) {
+      if (ids_[slot] == kEmpty) {
+        throw std::out_of_range("DominanceIndex: id is not a block member");
+      }
+      slot = (slot + 1) & mask_;
+    }
+    return *lists_[slot];
+  }
+
+ private:
+  static constexpr EntityId kEmpty = -1;
+
+  size_t Home(EntityId id) const {
+    return static_cast<size_t>(
+        (static_cast<uint64_t>(static_cast<uint32_t>(id)) *
+         0x9E3779B97F4A7C15ULL) >>
+        shift_);
+  }
+
+  std::vector<EntityId> ids_;
+  std::vector<const DominanceList*> lists_;
+  size_t mask_ = 0;
+  int shift_ = 60;
+};
+
 // Mutable per-reduce-task state beyond the shared accumulator: the
 // incremental bottom-up resolution's resolved-pair memory and the per-tree
 // emission buffers. Between reduce groups it only grows — events and log
@@ -54,7 +119,7 @@ int64_t WireSize(int64_t sq, const ResolveValue& value) {
 struct ResolveTaskState : ErTaskState {
   // Already-resolved pairs per tree (keyed by the tree's dominance value):
   // the incremental bottom-up resolution must not repeat child work.
-  std::unordered_map<int32_t, std::unordered_set<PairKey>> resolved;
+  std::unordered_map<int32_t, PairSet> resolved;
   // Insertion log of `resolved`: every newly resolved pair in order, and
   // one (tree, end of its entries in the log) run per Resolve call that
   // added any — a call inserts into its own tree's set only. Positions are
@@ -68,6 +133,8 @@ struct ResolveTaskState : ErTaskState {
   std::unordered_map<int32_t, std::vector<ResolveValue>> tree_values;
   std::vector<int32_t> tree_order;
   size_t next_block = 0;
+  // Scratch of the block being resolved; no checkpoint carries it.
+  DominanceIndex dominance;
 
   struct Watermark {
     size_t events = 0;
@@ -113,7 +180,7 @@ struct ResolveTaskState : ErTaskState {
       const auto [tree, end] = resolved_runs.back();
       const size_t begin = RunBegin(resolved_runs.size() - 1);
       resolved_runs.pop_back();
-      std::unordered_set<PairKey>& pairs = resolved[tree];
+      PairSet& pairs = resolved[tree];
       for (size_t i = begin; i < end; ++i) pairs.erase(Logged(i));
       resolved_log.resize(begin - log_base);
     }
@@ -267,7 +334,7 @@ bool ApplyResolveTaskDelta(std::string_view in, ResolveTaskState* state) {
       return false;
     }
     const int32_t tree = static_cast<int32_t>(ZigZagDecode(raw));
-    std::unordered_set<PairKey>& set = state->resolved[tree];
+    PairSet& set = state->resolved[tree];
     const size_t start = state->LogEnd();
     for (uint64_t p = 0; p < pairs; ++p) {
       uint64_t pair = 0;
@@ -567,8 +634,7 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
     const auto resolve_block =
         [&, this](const BlockRef& ref, const MatchTask* unit,
                   const std::vector<const Entity*>& members,
-                  const std::unordered_map<EntityId, const DominanceList*>&
-                      lists,
+                  const std::vector<const DominanceList*>& lists,
                   Job::ReduceContext* ctx) {
           if (options_.per_task_cost_budget > 0.0 &&
               ctx->clock().units() >= options_.per_task_cost_budget) {
@@ -602,9 +668,11 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
 
           std::function<bool(const Entity&, const Entity&)> predicate;
           if (redundancy) {
+            state.dominance.Build(members, lists);
             predicate = [&](const Entity& a, const Entity& b) {
-              return ShouldResolve(*lists.at(a.id), *lists.at(b.id),
-                                   ref.family + 1, num_families);
+              return ShouldResolve(state.dominance.at(a.id),
+                                   state.dominance.at(b.id), ref.family + 1,
+                                   num_families);
             };
             request.should_resolve = &predicate;
           }
@@ -645,7 +713,7 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
 
         // Regroup: select the tree members belonging to this block.
         std::vector<const Entity*> members;
-        std::unordered_map<EntityId, const DominanceList*> lists;
+        std::vector<const DominanceList*> lists;
         for (const ResolveValue& value : buffered->second) {
           ctx->clock().Charge(kRegroupCostPerEntity);
           const Entity& e = dataset.entity(value.id);
@@ -654,7 +722,7 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
             continue;
           }
           members.push_back(&e);
-          lists.emplace(value.id, &value.list);
+          lists.push_back(&value.list);
         }
         resolve_block(ref, /*unit=*/nullptr, members, lists, ctx);
       }
@@ -687,11 +755,11 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
       }
       std::vector<const Entity*> members;
       members.reserve(values->size());
-      std::unordered_map<EntityId, const DominanceList*> lists;
+      std::vector<const DominanceList*> lists;
       lists.reserve(values->size());
       for (const ResolveValue& value : *values) {
         members.push_back(&dataset.entity(value.id));
-        lists.emplace(value.id, &value.list);
+        lists.push_back(&value.list);
       }
       resolve_block(ref, unit, members, lists, ctx);
     };

@@ -3,11 +3,11 @@
 
 #include <functional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "mapreduce/cost_clock.h"
 #include "model/entity.h"
+#include "model/pair_set.h"
 #include "similarity/match_function.h"
 
 namespace progres {
@@ -81,7 +81,7 @@ struct ResolveRequest {
   // Pairs already resolved within this tree (incremental bottom-up
   // resolution, Sec. III-A). Pairs found here are skipped; newly resolved
   // pairs are inserted. May be null.
-  std::unordered_set<PairKey>* resolved = nullptr;
+  PairSet* resolved = nullptr;
   // When set (with `resolved`), every pair newly inserted into `resolved` is
   // also appended here, in insertion order, so the caller can later undo
   // the insertions past a point (checkpoint restore). May be null.

@@ -47,12 +47,16 @@ class MatchFunction {
         eval_order_(other.eval_order_),
         threshold_(other.threshold_),
         total_weight_(other.total_weight_),
+        filtered_(other.filtered_),
+        margin_(other.margin_),
         comparisons_(other.comparisons()) {}
   MatchFunction& operator=(const MatchFunction& other) {
     rules_ = other.rules_;
     eval_order_ = other.eval_order_;
     threshold_ = other.threshold_;
     total_weight_ = other.total_weight_;
+    filtered_ = other.filtered_;
+    margin_ = other.margin_;
     comparisons_.store(other.comparisons(), std::memory_order_relaxed);
     return *this;
   }
@@ -62,10 +66,20 @@ class MatchFunction {
   // sides) contribute full similarity; a value missing on one side only
   // contributes zero.
   //
-  // Attributes are evaluated heaviest-weight first and evaluation stops as
-  // soon as the threshold decision is fixed (the remaining attributes can
-  // only contribute [0, remaining_weight]); this skips the expensive
-  // long-text comparisons for clearly distinct pairs.
+  // The decision is defined by the ordered loop: rules are summed
+  // heaviest-weight first and the loop stops as soon as the sum reaches the
+  // threshold or the remaining weight can no longer reach it. Resolve makes
+  // that same decision bit for bit while computing fewer rules. It first
+  // takes the exact rules and bounds the rest without running a kernel — an
+  // edit-distance rule by its length filter w * (1 - |la - lb| / max(la,
+  // lb)) on the truncated values (exact when a value is empty), every other
+  // kind by its weight — then computes the expensive rules heaviest first,
+  // tightening the bounds after each. It decides once the upper bound falls
+  // short of the threshold, or the lower bound clears it, by a margin of
+  // 1e-9 (times the total weight, if above 1): far above the rounding that
+  // separates these sums from the ordered loop's. A pair still undecided
+  // after that, or any pair under a negative or non-finite weight, gets the
+  // ordered loop itself over the values already computed.
   bool Resolve(const Entity& a, const Entity& b) const;
 
   // Returns the weighted similarity in [0, 1] without thresholding.
@@ -85,12 +99,23 @@ class MatchFunction {
   double RuleSimilarity(const AttributeRule& rule, const Entity& a,
                         const Entity& b) const;
 
+  // The ordered early-exit loop that defines Resolve's decision. Rule
+  // eval_order_[p] contributes `cached[p]` when bit p of `known` is set and
+  // is computed otherwise.
+  bool OrderedResolve(const Entity& a, const Entity& b, const double* cached,
+                      uint32_t known) const;
+
   std::vector<AttributeRule> rules_;
   // Indexes of rules_ sorted by non-increasing weight (Resolve's evaluation
   // order; maximizes early-exit opportunities).
   std::vector<int> eval_order_;
   double threshold_;
   double total_weight_;
+  // Whether Resolve may decide from bounds: every weight finite and
+  // non-negative, at most 32 rules (one bit each in a mask).
+  bool filtered_ = false;
+  // How far a bound must clear the threshold before it decides.
+  double margin_ = 0.0;
   mutable std::atomic<int64_t> comparisons_{0};
 };
 

@@ -45,7 +45,7 @@ struct RunResult {
 RunResult RunMechanism(const ProgressiveMechanism& mechanism,
                        const std::vector<Entity>& entities,
                        const MatchFunction& match, ResolveOptions options,
-                       std::unordered_set<PairKey>* resolved = nullptr,
+                       PairSet* resolved = nullptr,
                        const std::function<bool(const Entity&, const Entity&)>*
                            should_resolve = nullptr) {
   RunResult run;
@@ -133,7 +133,7 @@ TEST(SortedNeighborTest, ResolvedSetSkipsAndRecords) {
   const auto entities = MakeBlock({"a", "a", "b"});
   const MatchFunction match = ExactMatch();
   const SortedNeighborMechanism sn;
-  std::unordered_set<PairKey> resolved;
+  PairSet resolved;
   const RunResult first =
       RunMechanism(sn, entities, match, {.window = 3}, &resolved);
   EXPECT_EQ(first.outcome.duplicates, 1);
@@ -150,7 +150,7 @@ TEST(SortedNeighborTest, SkippedPairsAreCheap) {
   const auto entities = MakeBlock({"a", "a"});
   const MatchFunction match = ExactMatch();
   const SortedNeighborMechanism sn;
-  std::unordered_set<PairKey> resolved;
+  PairSet resolved;
   const RunResult first =
       RunMechanism(sn, entities, match, {.window = 2}, &resolved);
   const RunResult second =

@@ -24,6 +24,28 @@ run_cli(explain --data=${WORK}/data.tsv --train=${WORK}/train.tsv
         --train-truth=${WORK}/train_truth.tsv --machines=4 --blocks=3)
 run_cli(evaluate --pairs=${WORK}/pairs.tsv --truth=${WORK}/truth.tsv)
 
+# A malformed --pairs row is rejected with exit 1 and an error naming its
+# line: a non-numeric id, an id outside the truth's entities (a one-entity
+# truth here) and an entity paired with itself.
+file(WRITE ${WORK}/truth_one.tsv "0\t0\n")
+function(expect_bad_pairs name content truth line)
+  file(WRITE ${WORK}/${name}.tsv "${content}")
+  execute_process(COMMAND ${CLI} evaluate --pairs=${WORK}/${name}.tsv
+                  --truth=${truth}
+                  RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT code EQUAL 1)
+    message(FATAL_ERROR "evaluate on ${name}.tsv exited ${code}, not 1: "
+                        "${out}${err}")
+  endif()
+  if(NOT err MATCHES "invalid --pairs .*: line ${line}: ")
+    message(FATAL_ERROR "${name}.tsv error does not name line ${line}: ${err}")
+  endif()
+  message(STATUS "${name}.tsv rejected: ${err}")
+endfunction()
+expect_bad_pairs(pairs_not_id "0\t1\n1\tx\n" ${WORK}/truth.tsv 2)
+expect_bad_pairs(pairs_out_of_range "0\t5\n" ${WORK}/truth_one.tsv 1)
+expect_bad_pairs(pairs_self "3\t3\n" ${WORK}/truth.tsv 1)
+
 # Tracing is observational: a traced resolve writes both exports and the
 # resolved pairs stay byte-identical to the untraced run.
 run_cli(resolve --data=${WORK}/data.tsv --basic --machines=4

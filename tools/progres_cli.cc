@@ -31,6 +31,7 @@
 // attributes). Datasets are TSV files whose header row names the schema.
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -38,6 +39,7 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -172,13 +174,43 @@ bool SavePairs(const std::string& path, const std::vector<PairKey>& pairs) {
   return WriteTsv(path, rows);
 }
 
-bool LoadPairs(const std::string& path, std::vector<PairKey>* pairs) {
-  std::vector<std::vector<std::string>> rows;
-  if (!ReadTsv(path, &rows)) return false;
+// Parses a pairs TSV: one "id<TAB>id" row per pair, each id a decimal
+// entity id in [0, num_entities), the two ids different. On a bad row,
+// returns false with *error naming its line.
+bool ParsePairs(const std::vector<std::vector<std::string>>& rows,
+                int64_t num_entities, std::vector<PairKey>* pairs,
+                std::string* error) {
   pairs->clear();
-  for (const auto& row : rows) {
-    if (row.size() != 2) return false;
-    pairs->push_back(MakePairKey(std::stoi(row[0]), std::stoi(row[1])));
+  for (size_t line = 1; line <= rows.size(); ++line) {
+    const std::vector<std::string>& row = rows[line - 1];
+    const std::string where = "line " + std::to_string(line) + ": ";
+    if (row.size() != 2) {
+      *error = where + "expected 2 tab-separated ids, got " +
+               std::to_string(row.size()) + " field(s)";
+      return false;
+    }
+    EntityId ids[2] = {0, 0};
+    for (int k = 0; k < 2; ++k) {
+      const std::string& field = row[static_cast<size_t>(k)];
+      const char* end = field.data() + field.size();
+      int64_t id = 0;
+      const auto [stop, ec] = std::from_chars(field.data(), end, id);
+      if (field.empty() || ec != std::errc() || stop != end) {
+        *error = where + "\"" + field + "\" is not an entity id";
+        return false;
+      }
+      if (id < 0 || id >= num_entities) {
+        *error = where + "entity id " + field + " is outside [0, " +
+                 std::to_string(num_entities) + ")";
+        return false;
+      }
+      ids[k] = static_cast<EntityId>(id);
+    }
+    if (ids[0] == ids[1]) {
+      *error = where + "pair of entity " + row[0] + " with itself";
+      return false;
+    }
+    pairs->push_back(MakePairKey(ids[0], ids[1]));
   }
   return true;
 }
@@ -591,14 +623,22 @@ int CmdExplain(const std::map<std::string, std::string>& flags) {
 }
 
 int CmdEvaluate(const std::map<std::string, std::string>& flags) {
-  std::vector<PairKey> pairs;
-  if (!LoadPairs(RequireFlag(flags, "pairs"), &pairs)) {
+  const std::string pairs_path = RequireFlag(flags, "pairs");
+  std::vector<std::vector<std::string>> rows;
+  if (!ReadTsv(pairs_path, &rows)) {
     std::fprintf(stderr, "failed to read --pairs\n");
     return 1;
   }
   GroundTruth truth;
   if (!GroundTruth::LoadTsv(RequireFlag(flags, "truth"), &truth)) {
     std::fprintf(stderr, "failed to read --truth\n");
+    return 1;
+  }
+  std::vector<PairKey> pairs;
+  std::string error;
+  if (!ParsePairs(rows, truth.num_entities(), &pairs, &error)) {
+    std::fprintf(stderr, "invalid --pairs %s: %s\n", pairs_path.c_str(),
+                 error.c_str());
     return 1;
   }
   const PairMetrics pair_metrics = EvaluatePairs(pairs, truth);
