@@ -1,7 +1,5 @@
 #include "blocking/forest_io.h"
 
-#include <algorithm>
-
 #include "common/tsv.h"
 
 namespace progres {
@@ -20,67 +18,6 @@ bool SaveForests(const std::string& path,
     }
   }
   return WriteTsv(path, rows);
-}
-
-bool LoadForests(const std::string& path, std::vector<Forest>* forests) {
-  std::vector<std::vector<std::string>> rows;
-  if (!ReadTsv(path, &rows)) return false;
-
-  struct Record {
-    int family;
-    int level;
-    std::string block_path;
-    std::string parent_path;
-    int64_t size;
-    int64_t uncov;
-  };
-  std::vector<Record> records;
-  records.reserve(rows.size());
-  int max_family = -1;
-  for (const auto& row : rows) {
-    if (row.size() != 6) return false;
-    Record record;
-    record.family = std::stoi(row[0]);
-    record.level = std::stoi(row[1]);
-    record.block_path = row[2];
-    record.parent_path = row[3];
-    record.size = std::stoll(row[4]);
-    record.uncov = std::stoll(row[5]);
-    max_family = std::max(max_family, record.family);
-    records.push_back(std::move(record));
-  }
-  // Parents must exist before children: sort by (family, level, path).
-  std::sort(records.begin(), records.end(),
-            [](const Record& a, const Record& b) {
-              if (a.family != b.family) return a.family < b.family;
-              if (a.level != b.level) return a.level < b.level;
-              return a.block_path < b.block_path;
-            });
-
-  forests->assign(static_cast<size_t>(max_family + 1), Forest());
-  for (int f = 0; f <= max_family; ++f) {
-    (*forests)[static_cast<size_t>(f)].family = f;
-  }
-  for (Record& record : records) {
-    Forest& forest = (*forests)[static_cast<size_t>(record.family)];
-    const int index = static_cast<int>(forest.nodes.size());
-    forest.by_path.emplace(record.block_path, index);
-    BlockNode node;
-    node.id = {record.family, record.level, record.block_path};
-    node.size = record.size;
-    node.uncov = record.uncov;
-    if (record.level == 1) {
-      node.parent = -1;
-      forest.roots.push_back(index);
-    } else {
-      const auto it = forest.by_path.find(record.parent_path);
-      if (it == forest.by_path.end()) return false;  // malformed hierarchy
-      node.parent = it->second;
-      forest.nodes[static_cast<size_t>(it->second)].children.push_back(index);
-    }
-    forest.nodes.push_back(std::move(node));
-  }
-  return true;
 }
 
 }  // namespace progres

@@ -8,25 +8,18 @@
 
 namespace progres {
 
-// Persistence for the statistics forests — in the paper's deployment the
-// first MR job writes its statistics to HDFS and the second job's map-task
-// setup reads them back; these helpers provide the same decoupling for
-// offline pipelines (run the statistics job once, reuse the schedule inputs
-// across experiments).
+// Export of the statistics forests — in the paper's deployment the first
+// MR job writes its statistics to HDFS for the second job's map-task setup;
+// here the file is an inspection artifact (`progres_cli stats --out`). No
+// reader exists: the second job recomputes the forests in-process.
 //
 // Format: TSV with one row per block:
 //   family  level  path  parent_path  size  uncov
 // Paths embed the kPathSeparator control character, which TSV tolerates
-// (fields are tab-delimited). Entity membership is not persisted: the
-// second job recomputes membership from blocking keys, as in the paper.
+// (fields are tab-delimited). Entity membership is not written.
 
 // Writes `forests` to `path`. Returns false on I/O failure.
 bool SaveForests(const std::string& path, const std::vector<Forest>& forests);
-
-// Loads forests previously written by SaveForests. Returns false on I/O or
-// format errors. The result is structurally equal to the saved input
-// (asserted by tests).
-bool LoadForests(const std::string& path, std::vector<Forest>* forests);
 
 }  // namespace progres
 

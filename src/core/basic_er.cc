@@ -73,7 +73,7 @@ ErRunResult BasicEr::Run(const Dataset& dataset) const {
     if (options_.cluster.control.active()) {
       // Supervised runs snapshot task state at alpha boundaries so a
       // deadline cut or quarantine can deliver a checkpointed prefix.
-      states.InstallCheckpointRecovery(&job, options_.alpha, &checkpoints);
+      states.InstallWatermarkRecovery(&job, options_.alpha, &checkpoints);
     } else {
       states.InstallAbortReset(&job);
     }

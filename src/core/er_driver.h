@@ -30,12 +30,32 @@ namespace progres {
 // The per-reduce-task accumulator every resolving driver shares: the raw
 // duplicate-discovery events (task-local cost order) plus outcome tallies.
 // Drivers with extra per-task state (MRSN's sliding window, the progressive
-// driver's tree buffers) derive from it.
+// driver's tree buffers) derive from it. Between reduce groups it only
+// grows, so a checkpoint is a Watermark and a restore truncates back to
+// one (TaskStateRegistry::InstallWatermarkRecovery).
 struct ErTaskState {
   std::vector<std::pair<double, PairKey>> raw_events;
   int64_t duplicates = 0;
   int64_t distinct = 0;
   int64_t skipped = 0;
+
+  struct Watermark {
+    size_t events = 0;
+    int64_t duplicates = 0;
+    int64_t distinct = 0;
+    int64_t skipped = 0;
+  };
+  Watermark Mark() const {
+    return {raw_events.size(), duplicates, distinct, skipped};
+  }
+  void TruncateTo(const Watermark& mark) {
+    raw_events.resize(mark.events);
+    duplicates = mark.duplicates;
+    distinct = mark.distinct;
+    skipped = mark.skipped;
+  }
+  // No undo data to drop: events and tallies truncate in place.
+  void ForgetBefore(const Watermark& /*mark*/) {}
 };
 
 // Owns one State per reduce task (each task writes only its own slot, so no
@@ -67,39 +87,16 @@ class TaskStateRegistry {
   }
 
   // Installs checkpointed recovery instead (checkpoint.h): the job
-  // snapshots a copy of the task's State at each alpha-emission boundary
-  // and a re-attempt restores the latest snapshot (or a fresh State when
-  // none exists) rather than replaying from scratch. `store` must outlive
-  // the job's Run. State must be copyable. In-memory only: the store gets
-  // no codec, so this suits states that are not persisted.
-  template <typename Job>
-  void InstallCheckpointRecovery(Job* job, double alpha,
-                                 CheckpointStore* store) {
-    job->set_checkpointing(
-        alpha, store,
-        [this](int task_id) -> std::shared_ptr<const void> {
-          return std::make_shared<const State>(
-              states_[static_cast<size_t>(task_id)]);
-        },
-        [this](int task_id, const void* snapshot) {
-          State& state = states_[static_cast<size_t>(task_id)];
-          if (snapshot == nullptr) {
-            state = State();
-          } else {
-            state = *static_cast<const State*>(snapshot);
-          }
-        });
-  }
-
-  // Checkpointed recovery for a State that only grows between boundaries,
-  // at O(1) per snapshot (DESIGN.md §14): a snapshot is the state's
-  // watermarks, and a restore truncates the live state back to them —
-  // valid because every retained snapshot lies on the live state's own
-  // lineage (a task's attempts run one after another, each resuming from
-  // the latest snapshot, and a deadline cut only ever rewinds). State must
-  // provide
+  // snapshots the task's State at each alpha-emission boundary and a
+  // re-attempt, quarantine or deadline cut restores one (a fresh State when
+  // none exists) rather than replaying from scratch. A snapshot is the
+  // state's watermarks, and a restore truncates the live state back to
+  // them — valid because every retained snapshot lies on the live state's
+  // own lineage (a task's attempts run one after another, each resuming
+  // from the latest snapshot, and a deadline cut only ever rewinds). State
+  // must provide
   //
-  //   typename State::Watermark;                  // copyable, O(1) size
+  //   typename State::Watermark;                  // copyable
   //   Watermark Mark() const;                     // the current extent
   //   void TruncateTo(const Watermark& mark);     // drop all growth past it
   //   void ForgetBefore(const Watermark& mark);   // no restore goes below it
@@ -108,35 +105,10 @@ class TaskStateRegistry {
   // it keeps for growth before `mark`: without boundary history
   // (CheckpointStore::keep_history), each save forgets everything before
   // the snapshot it replaces, which its journal delta starts from.
-  //
-  // and the codec persisted journals need: `encode_delta(state, from, to)`
-  // serializes the growth between two marks of `state` (`from` null: since
-  // the empty state), `apply_delta(blob, state)` replays one such blob onto
-  // a state, returning false to reject it. A journal replayed by a resumed
-  // process becomes a snapshot carrying the rebuilt State, which its first
-  // restore copies in.
-  template <typename Job, typename EncodeDelta, typename ApplyDelta>
-  void InstallWatermarkRecovery(Job* job, double alpha, CheckpointStore* store,
-                                EncodeDelta encode_delta,
-                                ApplyDelta apply_delta) {
-    store->SetStateCodec(
-        [this, encode_delta = std::move(encode_delta)](
-            int task_id, const void* from, const void* to) {
-          const auto* base = static_cast<const Snapshot*>(from);
-          return encode_delta(states_[static_cast<size_t>(task_id)],
-                              base != nullptr ? &base->mark : nullptr,
-                              static_cast<const Snapshot*>(to)->mark);
-        },
-        [apply_delta = std::move(apply_delta)](
-            const std::vector<std::string_view>& deltas)
-            -> std::shared_ptr<const void> {
-          auto state = std::make_shared<State>();
-          for (const std::string_view delta : deltas) {
-            if (!apply_delta(delta, state.get())) return nullptr;
-          }
-          return std::make_shared<const Snapshot>(
-              Snapshot{state->Mark(), std::move(state)});
-        });
+  // `store` must outlive the job's Run.
+  template <typename Job>
+  void InstallWatermarkRecovery(Job* job, double alpha,
+                                CheckpointStore* store) {
     job->set_checkpointing(
         alpha, store,
         [this, store](int task_id) -> std::shared_ptr<const void> {
@@ -161,6 +133,37 @@ class TaskStateRegistry {
           } else {
             state.TruncateTo(snap->mark);
           }
+        });
+  }
+
+  // The codec persisted journals need, for a store that persists
+  // (CheckpointStore::ConfigurePersistence) on top of
+  // InstallWatermarkRecovery: `encode_delta(state, from, to)` serializes
+  // the growth between two marks of `state` (`from` null: since the empty
+  // state), `apply_delta(blob, state)` replays one such blob onto a state,
+  // returning false to reject it. A journal replayed by a resumed process
+  // becomes a snapshot carrying the rebuilt State, which its first restore
+  // copies in.
+  template <typename EncodeDelta, typename ApplyDelta>
+  void InstallJournalCodec(CheckpointStore* store, EncodeDelta encode_delta,
+                           ApplyDelta apply_delta) {
+    store->SetStateCodec(
+        [this, encode_delta = std::move(encode_delta)](
+            int task_id, const void* from, const void* to) {
+          const auto* base = static_cast<const Snapshot*>(from);
+          return encode_delta(states_[static_cast<size_t>(task_id)],
+                              base != nullptr ? &base->mark : nullptr,
+                              static_cast<const Snapshot*>(to)->mark);
+        },
+        [apply_delta = std::move(apply_delta)](
+            const std::vector<std::string_view>& deltas)
+            -> std::shared_ptr<const void> {
+          auto state = std::make_shared<State>();
+          for (const std::string_view delta : deltas) {
+            if (!apply_delta(delta, state.get())) return nullptr;
+          }
+          return std::make_shared<const Snapshot>(
+              Snapshot{state->Mark(), std::move(state)});
         });
   }
 

@@ -31,8 +31,19 @@ struct SlideValue {
   bool owned = true;
 };
 
+// The sliding window is the one part that does not only grow: a watermark
+// carries a copy of it (at most window - 1 values).
 struct MrsnTaskState : ErTaskState {
   std::deque<SlideValue> window;
+
+  struct Watermark : ErTaskState::Watermark {
+    std::deque<SlideValue> window;
+  };
+  Watermark Mark() const { return {ErTaskState::Mark(), window}; }
+  void TruncateTo(const Watermark& mark) {
+    ErTaskState::TruncateTo(mark);
+    window = mark.window;
+  }
 };
 
 }  // namespace
@@ -150,7 +161,7 @@ ErRunResult MrsnEr::Run(const Dataset& dataset) const {
       TaskStateRegistry<MrsnTaskState> states(reduce_tasks);
       CheckpointStore checkpoints;
       if (options_.cluster.control.active()) {
-        states.InstallCheckpointRecovery(&job, options_.alpha, &checkpoints);
+        states.InstallWatermarkRecovery(&job, options_.alpha, &checkpoints);
       } else {
         states.InstallAbortReset(&job);
       }

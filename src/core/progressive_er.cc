@@ -136,26 +136,15 @@ struct ResolveTaskState : ErTaskState {
   // Scratch of the block being resolved; no checkpoint carries it.
   DominanceIndex dominance;
 
-  struct Watermark {
-    size_t events = 0;
-    int64_t duplicates = 0;
-    int64_t distinct = 0;
-    int64_t skipped = 0;
+  struct Watermark : ErTaskState::Watermark {
     size_t runs = 0;
     size_t trees = 0;
     size_t next_block = 0;
   };
 
   Watermark Mark() const {
-    Watermark mark;
-    mark.events = raw_events.size();
-    mark.duplicates = duplicates;
-    mark.distinct = distinct;
-    mark.skipped = skipped;
-    mark.runs = resolved_runs.size();
-    mark.trees = tree_order.size();
-    mark.next_block = next_block;
-    return mark;
+    return {ErTaskState::Mark(), resolved_runs.size(), tree_order.size(),
+            next_block};
   }
 
   size_t LogEnd() const { return log_base + resolved_log.size(); }
@@ -172,10 +161,7 @@ struct ResolveTaskState : ErTaskState {
   }
 
   void TruncateTo(const Watermark& mark) {
-    raw_events.resize(mark.events);
-    duplicates = mark.duplicates;
-    distinct = mark.distinct;
-    skipped = mark.skipped;
+    ErTaskState::TruncateTo(mark);
     while (resolved_runs.size() > mark.runs) {
       const auto [tree, end] = resolved_runs.back();
       const size_t begin = RunBegin(resolved_runs.size() - 1);
@@ -616,10 +602,10 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
     const bool checkpointed = options_.checkpoint_recovery || persist ||
                               options_.cluster.control.active();
     if (checkpointed) {
-      states.InstallWatermarkRecovery(&job, options_.alpha, &checkpoints,
-                                      EncodeResolveTaskDelta,
-                                      ApplyResolveTaskDelta);
+      states.InstallWatermarkRecovery(&job, options_.alpha, &checkpoints);
       if (persist) {
+        states.InstallJournalCodec(&checkpoints, EncodeResolveTaskDelta,
+                                   ApplyResolveTaskDelta);
         checkpoints.ConfigurePersistence(options_.checkpoint_dir,
                                          "resolution", options_.resume,
                                          options_.crash_after_checkpoints);

@@ -350,6 +350,9 @@ AttemptScheduleOutcome ScheduleTaskAttemptsOnCluster(
   };
   std::deque<Pending> queue;
   for (size_t i = 0; i < n; ++i) {
+    // Boundaries at or below the first attempt's base were restored from
+    // an earlier process, not saved by this run: no save spans for them.
+    max_progress[i] = base_of(static_cast<int>(i), 0);
     if (!attempt_costs[i].empty()) {
       queue.push_back({static_cast<int>(i), 0, options.start_time,
                        base_of(static_cast<int>(i), 0)});

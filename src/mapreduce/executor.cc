@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/thread_pool.h"
-#include "mapreduce/trace.h"
 
 namespace progres {
 
@@ -72,11 +71,6 @@ double ThreadedExecutor::phase_end(TaskPhase phase) const {
   return phase == TaskPhase::kMap ? map_end_ : reduce_end_;
 }
 
-std::vector<WallAttempt> ThreadedExecutor::attempts() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return attempts_;
-}
-
 bool ThreadedExecutor::WinningAttempt(TaskPhase phase, int task,
                                       WallAttempt* out) const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -91,9 +85,29 @@ bool ThreadedExecutor::WinningAttempt(TaskPhase phase, int task,
   return false;
 }
 
+void ThreadedExecutor::MarkCheckpoint(SpanKind kind, int task,
+                                      double cost_units) {
+  TraceSpan span;
+  span.kind = kind;
+  span.phase = TaskPhase::kReduce;
+  span.task = task;
+  span.slot = ThreadPool::CurrentWorker();
+  span.start = Now();
+  span.end = span.start;
+  span.cost_units = cost_units;
+  std::lock_guard<std::mutex> lock(mu_);
+  marks_.push_back(span);
+}
+
 void ThreadedExecutor::StampAttemptSpans(TraceRecorder* trace, int pid) const {
-  const std::vector<WallAttempt> snapshot = attempts();
-  for (const WallAttempt& record : snapshot) {
+  std::vector<WallAttempt> attempts;
+  std::vector<TraceSpan> marks;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    attempts = attempts_;
+    marks = marks_;
+  }
+  for (const WallAttempt& record : attempts) {
     TraceSpan span;
     span.kind = SpanKind::kAttempt;
     span.phase = record.phase;
@@ -108,6 +122,10 @@ void ThreadedExecutor::StampAttemptSpans(TraceRecorder* trace, int pid) const {
                    : record.failed  ? SpanOutcome::kFailed
                                     : SpanOutcome::kCompleted;
     trace->RecordSpan(span);
+  }
+  for (TraceSpan& mark : marks) {
+    mark.pid = pid;
+    trace->RecordSpan(mark);
   }
 }
 

@@ -8,11 +8,11 @@
 
 #include "common/stopwatch.h"
 #include "mapreduce/fault.h"
+#include "mapreduce/trace.h"
 
 namespace progres {
 
 class ThreadPool;
-class TraceRecorder;
 
 // Which engine executes a job's task attempts.
 //
@@ -81,17 +81,19 @@ class ThreadedExecutor {
   void EndPhase(TaskPhase phase);
   double phase_end(TaskPhase phase) const;
 
-  // Snapshot of every recorded attempt, in completion order.
-  std::vector<WallAttempt> attempts() const;
-
   // The winning (last, non-failed) executed attempt of `task` in `phase`.
   // Returns false if the task never completed an attempt successfully.
   bool WinningAttempt(TaskPhase phase, int task, WallAttempt* out) const;
 
+  // Notes a checkpoint save or restore (`kind`) of reduce task `task` at
+  // `cost_units`, on the calling worker's lane at the current wall time.
+  void MarkCheckpoint(SpanKind kind, int task, double cost_units);
+
   // Stamps one kAttempt trace span per executed attempt into `trace`, on
-  // wall-clock time. Worker lanes stand in for slots; there is no machine
-  // fault domain on the wall clock, so machine is -1 and spans carry no
-  // speculative flag (the threaded backend rejects speculation).
+  // wall-clock time, then one zero-length span per checkpoint mark. Worker
+  // lanes stand in for slots; there is no machine fault domain on the wall
+  // clock, so machine is -1 and spans carry no speculative flag (the
+  // threaded backend rejects speculation).
   void StampAttemptSpans(TraceRecorder* trace, int pid) const;
 
  private:
@@ -99,6 +101,7 @@ class ThreadedExecutor {
   std::unique_ptr<ThreadPool> pool_;
   mutable std::mutex mu_;
   std::vector<WallAttempt> attempts_;
+  std::vector<TraceSpan> marks_;
   double map_end_ = 0.0;
   double reduce_end_ = 0.0;
 };

@@ -169,6 +169,16 @@ class Shuffle {
       int64_t torn_writes = 0;      // runs truncated after a "success"
       int64_t dir_failovers = 0;    // primary -> fallback switches
       double backoff_seconds = 0;   // modeled retry backoff, accumulated
+
+      DiskStats& operator+=(const DiskStats& other) {
+        write_errors += other.write_errors;
+        retries += other.retries;
+        enospc += other.enospc;
+        torn_writes += other.torn_writes;
+        dir_failovers += other.dir_failovers;
+        backoff_seconds += other.backoff_seconds;
+        return *this;
+      }
     };
 
     MapOutput() = default;

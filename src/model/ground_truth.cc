@@ -1,5 +1,7 @@
 #include "model/ground_truth.h"
 
+#include <charconv>
+#include <limits>
 #include <unordered_map>
 
 #include "common/tsv.h"
@@ -43,15 +45,53 @@ bool GroundTruth::SaveTsv(const std::string& path) const {
   return WriteTsv(path, rows);
 }
 
-bool GroundTruth::LoadTsv(const std::string& path, GroundTruth* out) {
+bool GroundTruth::LoadTsv(const std::string& path, GroundTruth* out,
+                          std::string* error) {
+  std::string scratch;
+  std::string& message = error != nullptr ? *error : scratch;
+  message.clear();
   std::vector<std::vector<std::string>> rows;
   if (!ReadTsv(path, &rows)) return false;
+  // Row i names one entity id in [0, rows) and its cluster id; every id
+  // appears exactly once, so the rows are a permutation of the entities.
   std::vector<int32_t> cluster_of(rows.size(), 0);
-  for (const auto& row : rows) {
-    if (row.size() != 2) return false;
-    const size_t id = static_cast<size_t>(std::stol(row[0]));
-    if (id >= cluster_of.size()) return false;
-    cluster_of[id] = static_cast<int32_t>(std::stol(row[1]));
+  std::vector<char> seen(rows.size(), 0);
+  const auto parse = [](const std::string& field, int64_t* value) {
+    const char* end = field.data() + field.size();
+    const auto [stop, ec] = std::from_chars(field.data(), end, *value);
+    return !field.empty() && ec == std::errc() && stop == end;
+  };
+  for (size_t line = 1; line <= rows.size(); ++line) {
+    const std::vector<std::string>& row = rows[line - 1];
+    const std::string where = "line " + std::to_string(line) + ": ";
+    if (row.size() != 2) {
+      message = where + "expected entity id and cluster id, got " +
+                std::to_string(row.size()) + " field(s)";
+      return false;
+    }
+    int64_t id = 0;
+    int64_t cluster = 0;
+    if (!parse(row[0], &id)) {
+      message = where + "\"" + row[0] + "\" is not an entity id";
+      return false;
+    }
+    if (id < 0 || id >= static_cast<int64_t>(rows.size())) {
+      message = where + "entity id " + row[0] + " is outside [0, " +
+                std::to_string(rows.size()) + ")";
+      return false;
+    }
+    if (seen[static_cast<size_t>(id)]) {
+      message = where + "entity id " + row[0] + " is listed twice";
+      return false;
+    }
+    if (!parse(row[1], &cluster) ||
+        cluster < std::numeric_limits<int32_t>::min() ||
+        cluster > std::numeric_limits<int32_t>::max()) {
+      message = where + "\"" + row[1] + "\" is not a 32-bit cluster id";
+      return false;
+    }
+    seen[static_cast<size_t>(id)] = 1;
+    cluster_of[static_cast<size_t>(id)] = static_cast<int32_t>(cluster);
   }
   *out = GroundTruth(std::move(cluster_of));
   return true;

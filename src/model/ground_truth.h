@@ -43,7 +43,12 @@ class GroundTruth {
 
   // Persists as TSV (entity_id, cluster_id). Returns false on I/O failure.
   bool SaveTsv(const std::string& path) const;
-  static bool LoadTsv(const std::string& path, GroundTruth* out);
+  // Reads a SaveTsv file: every entity id in [0, rows) exactly once, each
+  // with a cluster id in int32 range. Returns false on I/O failure or the
+  // first bad row; `error`, when given, then holds "line N: ..." (left
+  // empty on I/O failure).
+  static bool LoadTsv(const std::string& path, GroundTruth* out,
+                      std::string* error = nullptr);
 
  private:
   std::vector<int32_t> cluster_of_;

@@ -125,6 +125,9 @@ inline std::string DumpErRunResult(const ErRunResult& r,
     out += "recall " + FormatExact(point.time) + " " +
            FormatExact(point.recall) + "\n";
   }
+  // A degraded run also pins what it delivered (unsupervised dumps carry
+  // no such line, so their fixtures are unchanged).
+  if (r.completeness.degraded) out += r.completeness.ToString() + "\n";
   return out;
 }
 
@@ -151,7 +154,20 @@ inline std::string DumpForests(const std::vector<Forest>& forests) {
 // The frozen driver configurations, keyed by fixture name.
 inline std::vector<std::string> GoldenDriverNames() {
   return {"basic", "mrsn", "progressive_perblock", "progressive_pertree",
-          "stats"};
+          "stats", "basic_degraded", "mrsn_degraded"};
+}
+
+// The supervised `*_degraded` configurations: allow_degraded, a simulated
+// deadline that lands mid-run and injected reduce-attempt crashes, so one
+// run both restores alpha-boundary checkpoints (the retries) and cuts late
+// tasks back to them (the deadline).
+inline void MakeDegraded(double deadline_seconds, ClusterConfig* cluster) {
+  cluster->control.allow_degraded = true;
+  cluster->control.deadline_seconds = deadline_seconds;
+  cluster->fault.enabled = true;
+  for (int t = 0; t < cluster->reduce_slots(); t += 2) {
+    cluster->fault.injected.push_back({TaskPhase::kReduce, t, 0});
+  }
 }
 
 // Runs one frozen driver configuration. With `trace` non-null the run is
@@ -173,7 +189,8 @@ inline std::string RunGoldenDriver(
   if (threads > 0) cluster.execution_threads = threads;
   cluster.trace = trace;
   cluster.shuffle_budget = budget;
-  if (name == "basic") {
+  const bool degraded = name == "basic_degraded" || name == "mrsn_degraded";
+  if (name == "basic" || name == "basic_degraded") {
     // Basic uses the main blocking functions only.
     std::vector<FamilySpec> mains;
     for (int f = 0; f < w.blocking.num_families(); ++f) {
@@ -184,13 +201,21 @@ inline std::string RunGoldenDriver(
     BasicErOptions options;
     options.cluster = cluster;
     options.popcorn_threshold = 0.001;
+    if (degraded) {
+      options.alpha = 1000.0;
+      MakeDegraded(0.05, &options.cluster);
+    }
     const BasicEr er(BlockingConfig(mains), w.match, sn, options);
     return DumpErRunResult(er.Run(w.data.dataset), w.data.truth);
   }
-  if (name == "mrsn") {
+  if (name == "mrsn" || name == "mrsn_degraded") {
     MrsnOptions options;
     options.cluster = cluster;
     options.window = 10;
+    if (degraded) {
+      options.alpha = 1000.0;
+      MakeDegraded(0.04, &options.cluster);
+    }
     const MrsnEr er(w.blocking, w.match, options);
     return DumpErRunResult(er.Run(w.data.dataset), w.data.truth);
   }

@@ -13,14 +13,20 @@
 //     the full dump, every counter and the quarantined entity ids;
 //   * a traced threaded run's wall-clock spans must reconcile exactly with
 //     the schedule-derived "mr.*" counters;
+//   * a spilled, disk-faulted, corrupted, poisoned, deadline-cut and resumed
+//     run must record the same data-plane spans and instants on both
+//     backends — only their clocks and lanes may differ;
 //   * a many-task, 8-worker stress run (trace + checkpoints + heavy retry
 //     churn) exercises the concurrent paths TSan watches.
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -470,6 +476,153 @@ TEST(ThreadedTraceTest, SpansReconcileWithMrCounters) {
   EXPECT_EQ(r.outputs, plain.outputs);
   EXPECT_EQ(r.counters.values(), plain.counters.values());
   EXPECT_DOUBLE_EQ(r.timing.end, plain.timing.end);
+}
+
+// ---- Backend trace parity ----
+
+// The raw job again, poison-sensitive and persisting its checkpoints:
+// the traced run of the parity test below.
+DiffJob::Result RunParityJob(const ClusterConfig& cluster,
+                             CheckpointStore* store) {
+  std::vector<int> input;
+  for (int i = 0; i < 400; ++i) input.push_back(i * 37 % 101);
+  DiffJob job(kMapTasks, kReduceTasks);
+  job.set_map_cost_per_record(0.5);
+  job.set_partitioner([](const int& key, int r) { return key % r; });
+  job.set_poison_faults(true);
+  job.set_checkpointing(5.0, store, nullptr, nullptr);
+  return job.Run(
+      input,
+      [](const int& record, DiffJob::MapContext* ctx) {
+        ctx->clock().Charge(0.25);
+        ctx->Emit(record % 13, record);
+      },
+      [](const int& key, std::vector<int>* values,
+         DiffJob::ReduceContext* ctx) {
+        int sum = 0;
+        for (int v : *values) sum += v;
+        ctx->clock().Charge(static_cast<double>(values->size()));
+        ctx->Emit(key, sum);
+      },
+      cluster);
+}
+
+// What a trace says about the data plane, clock and lane stripped off.
+struct TraceFacts {
+  std::multiset<std::tuple<int, int, int, int64_t, int64_t, double>> spans;
+  std::multiset<std::tuple<int, int, int, int, int64_t>> instants;
+};
+
+TraceFacts FactsOf(const TraceRecorder& trace) {
+  TraceFacts facts;
+  for (const TraceSpan& s : trace.spans()) {
+    if (s.kind == SpanKind::kAttempt) continue;
+    facts.spans.emplace(static_cast<int>(s.kind), static_cast<int>(s.phase),
+                        s.task, s.records_in, s.bytes, s.cost_units);
+  }
+  for (const TraceInstant& i : trace.instants()) {
+    facts.instants.emplace(static_cast<int>(i.kind),
+                           static_cast<int>(i.phase), i.task, i.peer_task,
+                           i.record);
+  }
+  return facts;
+}
+
+// One run with every data-plane event the stamper handles: forced spills
+// under transient, torn and corrupting disk faults, shuffle corruption, a
+// poison record quarantined by skip-bad-records, a degraded deadline cut,
+// and reduce tasks resumed from checkpoints a failed earlier run persisted.
+// Both backends must record the same multiset of non-attempt spans and of
+// instants: only the anchors' clock and the lanes may differ.
+TEST(BackendTraceParityTest, DataPlaneSpansMatchAcrossBackends) {
+  const auto run = [](ExecutionBackend backend, const std::string& tag) {
+    const std::filesystem::path root =
+        std::filesystem::path(::testing::TempDir()) /
+        ("progres_trace_parity_" + tag);
+    std::filesystem::remove_all(root);
+    std::filesystem::create_directories(root / "spill");
+    {
+      // The "earlier process": every reduce task dies on its only
+      // attempt partway through, leaving a partial journal behind.
+      ClusterConfig doomed = RawCluster(2, 1, ExecutionBackend::kSimulated);
+      doomed.fault.enabled = true;
+      doomed.fault.max_attempts = 1;
+      for (int t = 0; t < kReduceTasks; ++t) {
+        doomed.fault.injected.push_back({TaskPhase::kReduce, t, 0});
+      }
+      CheckpointStore store;
+      store.ConfigurePersistence((root / "ckpt").string(), "parity",
+                                 /*resume=*/false);
+      const DiffJob::Result failed = RunParityJob(doomed, &store);
+      EXPECT_TRUE(failed.failed);
+    }
+    ClusterConfig cluster = RawCluster(2, 4, backend);
+    cluster.shuffle_budget.max_bytes = 1;
+    cluster.shuffle_budget.block_bytes = 64;
+    cluster.shuffle_budget.spill_dir = (root / "spill").string();
+    cluster.fault.enabled = true;
+    cluster.fault.seed = 31;
+    cluster.fault.max_attempts = 10;
+    cluster.fault.spill_write_error_prob = 0.2;
+    cluster.fault.spill_torn_write_prob = 0.1;
+    cluster.fault.spill_corrupt_prob = 0.1;
+    cluster.fault.shuffle_corrupt_prob = 0.3;
+    cluster.fault.poison_records = {57};
+    cluster.fault.skip_bad_records = true;
+    cluster.control.allow_degraded = true;
+    cluster.control.deadline_seconds = 0.0;  // set below, mid-run
+    TraceRecorder trace;
+    cluster.trace = &trace;
+    // The deadline: halfway into the reduce phase of the same run
+    // undeadlined (the simulated timeline is backend-independent).
+    {
+      ClusterConfig probe = cluster;
+      probe.backend = ExecutionBackend::kSimulated;
+      probe.trace = nullptr;
+      probe.control = JobControl();
+      CheckpointStore store;
+      const DiffJob::Result full = RunParityJob(probe, &store);
+      EXPECT_FALSE(full.failed) << full.error;
+      cluster.control.deadline_seconds =
+          (full.timing.map_end + full.timing.end) / 2.0;
+    }
+    CheckpointStore store;
+    store.ConfigurePersistence((root / "ckpt").string(), "parity",
+                               /*resume=*/true);
+    const DiffJob::Result r = RunParityJob(cluster, &store);
+    EXPECT_FALSE(r.failed) << r.error;
+    EXPECT_TRUE(r.completeness.degraded);
+    std::filesystem::remove_all(root);
+    return FactsOf(trace);
+  };
+  const TraceFacts sim = run(ExecutionBackend::kSimulated, "sim");
+  const TraceFacts threaded = run(ExecutionBackend::kThreaded, "thr");
+  EXPECT_EQ(threaded.spans, sim.spans);
+  EXPECT_EQ(threaded.instants, sim.instants);
+
+  // Not vacuous: every data-plane kind the run was built to produce is
+  // there.
+  const auto has_span = [&sim](SpanKind kind) {
+    for (const auto& span : sim.spans) {
+      if (std::get<0>(span) == static_cast<int>(kind)) return true;
+    }
+    return false;
+  };
+  for (const SpanKind kind :
+       {SpanKind::kShuffle, SpanKind::kCheckpointSave,
+        SpanKind::kCheckpointRestore, SpanKind::kSpillWrite,
+        SpanKind::kSpillMerge, SpanKind::kSpillRetry, SpanKind::kRunCorrupt,
+        SpanKind::kRestartRestore, SpanKind::kDeadlineCancel}) {
+    EXPECT_TRUE(has_span(kind)) << "no span of kind " << static_cast<int>(kind);
+  }
+  const auto has_instant = [&sim](InstantKind kind) {
+    for (const auto& instant : sim.instants) {
+      if (std::get<0>(instant) == static_cast<int>(kind)) return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(has_instant(InstantKind::kShuffleCorruption));
+  EXPECT_TRUE(has_instant(InstantKind::kRecordQuarantined));
 }
 
 // ---- Thread-safety stress (the run TSan cares about) ----

@@ -10,7 +10,7 @@
 namespace progres {
 namespace {
 
-TEST(ForestIoTest, RoundTripPreservesStructure) {
+TEST(ForestIoTest, SaveWritesOneRowPerBlock) {
   PublicationConfig gen;
   gen.num_entities = 1500;
   gen.seed = 130;
@@ -18,69 +18,36 @@ TEST(ForestIoTest, RoundTripPreservesStructure) {
   const BlockingConfig config({{"X", kPubTitle, {2, 4, 8}, -1},
                                {"Y", kPubAbstract, {3, 5}, -1},
                                {"Z", kPubVenue, {3}, -1}});
-  std::vector<Forest> original =
+  std::vector<Forest> forests =
       BuildForests(data.dataset, config, /*keep_members=*/false);
-  ComputeUncoveredPairs(data.dataset, config, &original);
+  ComputeUncoveredPairs(data.dataset, config, &forests);
 
   const std::string path = testing::TempDir() + "/progres_forests.tsv";
-  ASSERT_TRUE(SaveForests(path, original));
+  ASSERT_TRUE(SaveForests(path, forests));
+  std::vector<std::vector<std::string>> rows;
+  ASSERT_TRUE(ReadTsv(path, &rows));
+  std::remove(path.c_str());
 
-  std::vector<Forest> loaded;
-  ASSERT_TRUE(LoadForests(path, &loaded));
-  ASSERT_EQ(loaded.size(), original.size());
-  for (size_t f = 0; f < original.size(); ++f) {
-    const Forest& a = original[f];
-    const Forest& b = loaded[f];
-    ASSERT_EQ(b.nodes.size(), a.nodes.size()) << "family " << f;
-    ASSERT_EQ(b.roots.size(), a.roots.size());
-    for (const BlockNode& node : a.nodes) {
-      const int found = b.Find(node.id.path);
-      ASSERT_GE(found, 0) << node.id.path;
-      const BlockNode& got = b.node(found);
-      EXPECT_EQ(got.size, node.size);
-      EXPECT_EQ(got.uncov, node.uncov);
-      EXPECT_EQ(got.id.level, node.id.level);
-      EXPECT_EQ(got.children.size(), node.children.size());
-      if (node.parent >= 0) {
-        ASSERT_GE(got.parent, 0);
-        EXPECT_EQ(b.node(got.parent).id.path, a.node(node.parent).id.path);
-      } else {
-        EXPECT_LT(got.parent, 0);
-      }
+  // Rows follow the forests' node order: family, level, path, parent path,
+  // size, uncov.
+  size_t row = 0;
+  for (const Forest& forest : forests) {
+    for (const BlockNode& node : forest.nodes) {
+      ASSERT_LT(row, rows.size());
+      const std::vector<std::string>& fields = rows[row++];
+      ASSERT_EQ(fields.size(), 6u);
+      EXPECT_EQ(fields[0], std::to_string(forest.family));
+      EXPECT_EQ(fields[1], std::to_string(node.id.level));
+      EXPECT_EQ(fields[2], node.id.path);
+      EXPECT_EQ(fields[3], node.parent >= 0
+                               ? forest.node(node.parent).id.path
+                               : std::string());
+      EXPECT_EQ(fields[4], std::to_string(node.size));
+      EXPECT_EQ(fields[5], std::to_string(node.uncov));
     }
   }
-  std::remove(path.c_str());
-}
-
-TEST(ForestIoTest, EmptyForests) {
-  const std::string path = testing::TempDir() + "/progres_forests_empty.tsv";
-  ASSERT_TRUE(SaveForests(path, {}));
-  std::vector<Forest> loaded;
-  ASSERT_TRUE(LoadForests(path, &loaded));
-  EXPECT_TRUE(loaded.empty());
-  std::remove(path.c_str());
-}
-
-TEST(ForestIoTest, MissingFileFails) {
-  std::vector<Forest> loaded;
-  EXPECT_FALSE(LoadForests("/nonexistent/progres_forests.tsv", &loaded));
-}
-
-TEST(ForestIoTest, MalformedRowFails) {
-  const std::string path = testing::TempDir() + "/progres_forests_bad.tsv";
-  ASSERT_TRUE(WriteTsv(path, {{"0", "1", "path"}}));  // too few fields
-  std::vector<Forest> loaded;
-  EXPECT_FALSE(LoadForests(path, &loaded));
-  std::remove(path.c_str());
-}
-
-TEST(ForestIoTest, OrphanedChildFails) {
-  const std::string path = testing::TempDir() + "/progres_forests_orphan.tsv";
-  // Level-2 block whose parent path does not exist.
-  ASSERT_TRUE(WriteTsv(path, {{"0", "2", "ab\x1f" "abcd", "zz", "3", "0"}}));
-  std::vector<Forest> loaded;
-  EXPECT_FALSE(LoadForests(path, &loaded));
-  std::remove(path.c_str());
+  EXPECT_EQ(row, rows.size());
+  EXPECT_GT(row, forests.size());  // sub-blocks were written too
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -98,6 +99,36 @@ TEST(GroundTruthTest, TsvRoundTrip) {
   EXPECT_TRUE(loaded.IsDuplicate(0, 1));
   EXPECT_FALSE(loaded.IsDuplicate(0, 2));
   std::remove(path.c_str());
+}
+
+// Every malformed truth row is rejected with its line number: rows must
+// list each entity id in [0, rows) exactly once, with an int32 cluster id.
+TEST(GroundTruthTest, LoadTsvRejectsBadRowsWithLineNumbers) {
+  const std::string path = testing::TempDir() + "/progres_truth_bad.tsv";
+  const auto load = [&path](const std::string& content) {
+    std::ofstream(path) << content;
+    GroundTruth truth;
+    std::string error;
+    EXPECT_FALSE(GroundTruth::LoadTsv(path, &truth, &error)) << content;
+    return error;
+  };
+  EXPECT_EQ(load("0\t1\nx\t2\n"), "line 2: \"x\" is not an entity id");
+  EXPECT_EQ(load("0\t1\n0\t1\n"), "line 2: entity id 0 is listed twice");
+  EXPECT_EQ(load("0\t1\n2\t1\n"),
+            "line 2: entity id 2 is outside [0, 2)");
+  EXPECT_EQ(load("-1\t1\n"), "line 1: entity id -1 is outside [0, 1)");
+  EXPECT_EQ(load("0\t2147483648\n"),
+            "line 1: \"2147483648\" is not a 32-bit cluster id");
+  EXPECT_EQ(load("0\t1\t2\n"),
+            "line 1: expected entity id and cluster id, got 3 field(s)");
+  EXPECT_EQ(load("0 \t1\n"), "line 1: \"0 \" is not an entity id");
+  std::remove(path.c_str());
+
+  GroundTruth truth;
+  std::string error = "stale";
+  EXPECT_FALSE(
+      GroundTruth::LoadTsv("/nonexistent/progres_truth.tsv", &truth, &error));
+  EXPECT_TRUE(error.empty());  // I/O failure, not a bad row
 }
 
 // ---------------------------------------------------------------- unionfind

@@ -46,6 +46,35 @@ expect_bad_pairs(pairs_not_id "0\t1\n1\tx\n" ${WORK}/truth.tsv 2)
 expect_bad_pairs(pairs_out_of_range "0\t5\n" ${WORK}/truth_one.tsv 1)
 expect_bad_pairs(pairs_self "3\t3\n" ${WORK}/truth.tsv 1)
 
+# A malformed truth row is rejected the same way, by evaluate --truth and
+# resolve --train-truth alike: a non-numeric id, an id listed twice (and so
+# another one missing) and an id outside [0, rows).
+function(expect_bad_truth name content line)
+  file(WRITE ${WORK}/${name}.tsv "${content}")
+  execute_process(COMMAND ${CLI} evaluate --pairs=${WORK}/pairs.tsv
+                  --truth=${WORK}/${name}.tsv
+                  RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT code EQUAL 1)
+    message(FATAL_ERROR "evaluate with truth ${name}.tsv exited ${code}, "
+                        "not 1: ${out}${err}")
+  endif()
+  if(NOT err MATCHES "invalid --truth .*: line ${line}: ")
+    message(FATAL_ERROR "${name}.tsv error does not name line ${line}: ${err}")
+  endif()
+  message(STATUS "${name}.tsv rejected: ${err}")
+endfunction()
+expect_bad_truth(truth_not_id "0\t1\nx\t2\n" 2)
+expect_bad_truth(truth_duplicate "0\t1\n0\t1\n" 2)
+expect_bad_truth(truth_out_of_range "0\t1\n2\t1\n" 2)
+execute_process(COMMAND ${CLI} resolve --data=${WORK}/data.tsv
+                --train=${WORK}/train.tsv
+                --train-truth=${WORK}/truth_duplicate.tsv --machines=4
+                --out=${WORK}/pairs_reject.tsv
+                RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT code EQUAL 1 OR NOT err MATCHES "invalid --train-truth .*: line 2: ")
+  message(FATAL_ERROR "bad --train-truth not rejected (${code}): ${err}")
+endif()
+
 # Tracing is observational: a traced resolve writes both exports and the
 # resolved pairs stay byte-identical to the untraced run.
 run_cli(resolve --data=${WORK}/data.tsv --basic --machines=4
@@ -213,3 +242,19 @@ foreach(pair ${degraded_pairs})
   endif()
 endforeach()
 message(STATUS "degraded resolve: exit 2, ${num_degraded}/${num_full} pairs")
+
+# Supervised Basic: the same deadline with --allow-degraded cuts Basic's
+# reduce tasks back to their alpha-boundary checkpoints — exit 2 with a
+# completeness report.
+execute_process(COMMAND ${CLI} resolve --data=${WORK}/data.tsv --basic
+                --machines=4 --alpha=200 --deadline=100 --allow-degraded
+                --out=${WORK}/pairs_basic_degraded.tsv
+                RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT code EQUAL 2)
+  message(FATAL_ERROR
+          "degraded basic resolve should exit 2, got ${code}: ${out}${err}")
+endif()
+if(NOT out MATCHES "completeness: degraded")
+  message(FATAL_ERROR "degraded basic resolve printed no report: ${out}")
+endif()
+message(STATUS "degraded basic resolve: ${out}")

@@ -215,6 +215,23 @@ bool ParsePairs(const std::vector<std::vector<std::string>>& rows,
   return true;
 }
 
+// Loads the truth TSV named by --<flag>. On failure prints "failed to read
+// --<flag>" (I/O) or "invalid --<flag> F: line N: ..." (a bad row) and
+// returns false; the caller exits 1.
+bool LoadTruthFlag(const std::map<std::string, std::string>& flags,
+                   const std::string& flag, GroundTruth* truth) {
+  const std::string path = RequireFlag(flags, flag);
+  std::string error;
+  if (GroundTruth::LoadTsv(path, truth, &error)) return true;
+  if (error.empty()) {
+    std::fprintf(stderr, "failed to read --%s\n", flag.c_str());
+  } else {
+    std::fprintf(stderr, "invalid --%s %s: %s\n", flag.c_str(), path.c_str(),
+                 error.c_str());
+  }
+  return false;
+}
+
 // ---------------------------------------------------------------- commands
 
 int CmdGenerate(const std::map<std::string, std::string>& flags) {
@@ -485,12 +502,11 @@ int CmdResolve(const std::map<std::string, std::string>& flags) {
   } else {
     Dataset train;
     GroundTruth train_truth;
-    if (!Dataset::LoadTsv(RequireFlag(flags, "train"), &train) ||
-        !GroundTruth::LoadTsv(RequireFlag(flags, "train-truth"),
-                              &train_truth)) {
+    if (!Dataset::LoadTsv(RequireFlag(flags, "train"), &train)) {
       std::fprintf(stderr, "failed to read training data\n");
       return 1;
     }
+    if (!LoadTruthFlag(flags, "train-truth", &train_truth)) return 1;
     const ProbabilityModel prob =
         ProbabilityModel::Train(train, train_truth, config.blocking);
     ProgressiveErOptions options;
@@ -593,11 +609,11 @@ int CmdExplain(const std::map<std::string, std::string>& flags) {
   }
   Dataset train;
   GroundTruth train_truth;
-  if (!Dataset::LoadTsv(RequireFlag(flags, "train"), &train) ||
-      !GroundTruth::LoadTsv(RequireFlag(flags, "train-truth"), &train_truth)) {
+  if (!Dataset::LoadTsv(RequireFlag(flags, "train"), &train)) {
     std::fprintf(stderr, "failed to read training data\n");
     return 1;
   }
+  if (!LoadTruthFlag(flags, "train-truth", &train_truth)) return 1;
   const ProbabilityModel prob =
       ProbabilityModel::Train(train, train_truth, config.blocking);
   const SortedNeighborMechanism sn;
@@ -630,10 +646,7 @@ int CmdEvaluate(const std::map<std::string, std::string>& flags) {
     return 1;
   }
   GroundTruth truth;
-  if (!GroundTruth::LoadTsv(RequireFlag(flags, "truth"), &truth)) {
-    std::fprintf(stderr, "failed to read --truth\n");
-    return 1;
-  }
+  if (!LoadTruthFlag(flags, "truth", &truth)) return 1;
   std::vector<PairKey> pairs;
   std::string error;
   if (!ParsePairs(rows, truth.num_entities(), &pairs, &error)) {
